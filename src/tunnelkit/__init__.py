@@ -1,9 +1,11 @@
 """Double rectangular barrier tunneling: transmission, resonances, phase-times.
 
 Everything internal is SI; angstrom/neV conversions happen only at the CLI
-and report boundaries. All public values are frozen dataclasses and all
-operations are pure functions of their inputs, so the API is safe for
-concurrent use without synchronization.
+and report boundaries. All public values are immutable: the per-energy
+records (Kinematics, ScaledDenominator, TransmissionResult,
+PhaseTimeBreakdown) are NamedTuples, which are cheap to build, and the
+rest are frozen dataclasses. All operations are pure functions of their
+inputs, so the API is safe for concurrent use without synchronization.
 """
 
 from __future__ import annotations

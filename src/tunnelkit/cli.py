@@ -26,13 +26,24 @@ import os
 import sys
 from typing import Optional
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import (
+    CODATA2018,
+    PhysicalConstants,
+    angstrom_from_metre,
+    metre_from_angstrom,
+)
 from .errors import DomainError, PhaseUnwrapError, TunnelkitError
 from .kinematics import BarrierSystem, kinematics
 from .phase_time import phase_time, phase_time_at_resonance, phase_time_numeric
 from .resonance import DEFAULT_GRID_CELLS, find_resonances, fit_effective_mass
 from .scatter_oracle import double_barrier_profile, solve
-from .scenarios import hartman_sweep, run_neutron_scenario
+from .scenarios import (
+    NEUTRON_BARRIER_HEIGHT_NEV,
+    NEUTRON_BARRIER_WIDTH_ANGSTROM,
+    NEUTRON_GAP_ANGSTROM,
+    hartman_sweep,
+    run_neutron_scenario,
+)
 from .transmission import amplitude
 from . import __version__
 
@@ -58,9 +69,9 @@ NEUTRON_CHECKS = (
 
 _SYSTEM_FIELDS = {"a_angstrom", "U0_neV", "L_angstrom", "mass_ratio"}
 _DEFAULT_SYSTEM = {
-    "a_angstrom": 300.0,
-    "U0_neV": 230.0,
-    "L_angstrom": 195.0,
+    "a_angstrom": NEUTRON_BARRIER_WIDTH_ANGSTROM,
+    "U0_neV": NEUTRON_BARRIER_HEIGHT_NEV,
+    "L_angstrom": NEUTRON_GAP_ANGSTROM,
     "mass_ratio": 1.0,
 }
 
@@ -222,6 +233,14 @@ def _load_constants(path: Optional[str]) -> PhysicalConstants:
     if unknown:
         raise ConfigError(f"unknown constants field(s): {sorted(unknown)}")
     merged = {name: _number(doc, name, getattr(CODATA2018, name)) for name in known}
+    # The scenario hands its constants to the unit conversions and the mass
+    # fit only; every closed form takes hbar from CODATA 2018, so another
+    # hbar would change no output.
+    if merged["hbar"] != CODATA2018.hbar:
+        raise ConfigError(
+            f"constants field 'hbar' cannot be overridden: the closed forms use "
+            f"CODATA 2018 hbar = {CODATA2018.hbar!r}, got {merged['hbar']!r}"
+        )
     try:
         return PhysicalConstants(**merged)
     except ValueError as exc:
@@ -269,7 +288,7 @@ def cmd_sweep(args, config: dict) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
-    values = [v * 1e-10 for v in values_ang]
+    values = [metre_from_angstrom(v) for v in values_ang]
     table = hartman_sweep(sys_, energy_nev * nev, axis, values)
     if fmt == "json":
         sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
@@ -278,7 +297,7 @@ def cmd_sweep(args, config: dict) -> int:
     for row in table.rows:
         asym = "" if row.tau_asymptotic is None else _fmt12(row.tau_asymptotic)
         lines.append(
-            f"{_fmt12(row.sweep_value * 1e10)},{_fmt12(row.probability)},"
+            f"{_fmt12(angstrom_from_metre(row.sweep_value))},{_fmt12(row.probability)},"
             f"{_fmt12(row.tau_exact)},{asym},{str(row.flagged).lower()}"
         )
     sys.stdout.write("\n".join(lines) + "\n")

@@ -27,12 +27,17 @@ the plain attributes reconstruct the unscaled numbers (becoming inf once
 they genuinely exceed the double range). Downstream modules stay in the
 scaled representation, which is what makes opaque-barrier sweeps up to
 qa ~ 700 possible.
+
+Kinematics is an immutable NamedTuple rather than a frozen dataclass: it
+is built once per energy point, and a NamedTuple costs a fraction of a
+frozen dataclass to construct.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import CODATA2018, PhysicalConstants
 from .errors import DomainError
@@ -98,8 +103,7 @@ class BarrierSystem:
         )
 
 
-@dataclass(frozen=True)
-class Kinematics:
+class Kinematics(NamedTuple):
     """Scalar wave quantities of a (system, energy) pair. SI units."""
 
     E: float        # J
@@ -134,7 +138,7 @@ def kinematics(
     q = math.sqrt(2.0 * sys.m * (sys.U0 - E)) / hbar
     delta = (q * q - k * k) / (k * q)
     sigma = (k * k + q * q) / (k * q)
-    return Kinematics(E=E, k=k, q=q, delta=delta, sigma=sigma, hbar=hbar, m=sys.m)
+    return Kinematics(E, k, q, delta, sigma, hbar, sys.m)
 
 
 @dataclass(frozen=True)
@@ -211,21 +215,10 @@ def hyperbolic_state(kin: Kinematics, a: float) -> HyperbolicState:
     delta = kin.delta
     s2 = kin.sigma_sq
     two_qa = 2.0 * q * a
-
-    one_minus_e = -math.expm1(-two_qa)   # 1 - exp(-2qa), accurate for small qa
-    e_neg = 1.0 - one_minus_e
-    p = one_minus_e
-    mp = 1.0 + e_neg
-
-    ch2 = mp * mp / 4.0     # cosh^2 * e^-2qa
-    sh2 = p * p / 4.0       # sinh^2 * e^-2qa
-    chsh = mp * p / 4.0     # cosh sinh * e^-2qa
+    e_neg, one_minus_e, ch2, sh2, chsh, u_s, v_s, w_s = _scaled_uvw(delta, s2, two_qa)
 
     ka_q = k * a / q        # m
 
-    u_s = ch2 - 0.25 * delta * delta * sh2
-    v_s = delta * chsh
-    w_s = 0.25 * s2 * sh2
     up_s = ka_q * (0.5 * delta * delta - 2.0) * chsh + (delta * s2 / (2.0 * q)) * sh2
     vp_s = -(s2 / q) * chsh - ka_q * delta * (ch2 + sh2)
     wp_s = -(delta * s2 / (2.0 * q)) * sh2 - (ka_q * s2 / 2.0) * chsh
@@ -241,3 +234,31 @@ def hyperbolic_state(kin: Kinematics, a: float) -> HyperbolicState:
         vp_scaled=vp_s,
         wp_scaled=wp_s,
     )
+
+
+def _scaled_uvw(delta: float, s2: float, two_qa: float) -> tuple:
+    """u, v, w and their hyperbolic building blocks, all times exp(-2qa).
+
+    Returns (e, 1 - e, ch2, sh2, chsh, u~, v~, w~) with e = exp(-2qa),
+    1 - e from expm1 so small qa keeps full precision, and
+
+        ch2 = cosh^2 e^-2qa = (1+e)^2/4,  sh2 = sinh^2 e^-2qa = (1-e)^2/4,
+        chsh = cosh sinh e^-2qa = (1+e)(1-e)/4,
+        u~ = ch2 - (delta^2/4) sh2,  v~ = delta chsh,  w~ = (sigma^2/4) sh2.
+
+    Shared by hyperbolic_state and the per-energy transmission path, which
+    needs the values but not their derivatives.
+    """
+    one_minus_e = -math.expm1(-two_qa)   # 1 - exp(-2qa), accurate for small qa
+    e_neg = 1.0 - one_minus_e
+    p = one_minus_e
+    mp = 1.0 + e_neg
+
+    ch2 = mp * mp / 4.0     # cosh^2 * e^-2qa
+    sh2 = p * p / 4.0       # sinh^2 * e^-2qa
+    chsh = mp * p / 4.0     # cosh sinh * e^-2qa
+
+    u_s = ch2 - 0.25 * delta * delta * sh2
+    v_s = delta * chsh
+    w_s = 0.25 * s2 * sh2
+    return e_neg, one_minus_e, ch2, sh2, chsh, u_s, v_s, w_s

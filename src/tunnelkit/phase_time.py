@@ -40,8 +40,7 @@ unconditionally, with no validity-region flagging.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     DomainError,
@@ -51,9 +50,9 @@ from .errors import (
     ResonanceValidationError,
     StepError,
 )
-from .kinematics import BarrierSystem, hyperbolic_state, kinematics
+from .kinematics import BarrierSystem, _exp, hyperbolic_state, kinematics
 from .resonance import Resonance
-from .transmission import scaled_denominator, transmitted_phase
+from .transmission import ScaledDenominator, scaled_denominator, transmitted_phase
 
 __all__ = [
     "PhaseTimeBreakdown",
@@ -67,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhaseTimeBreakdown:
+class PhaseTimeBreakdown(NamedTuple):
     """Phase-time with its numerator P (m) and |D|^2; total is always finite,
     the other two overflow to inf once qa is past ~88."""
 
@@ -77,14 +75,7 @@ class PhaseTimeBreakdown:
     mod_squared: float
 
 
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _scaled_p_remainder(sc, a: float, L: float) -> float:
+def _scaled_p_remainder(sc: ScaledDenominator, a: float, L: float) -> float:
     """Exact remainder (q/2) P exp(-4qa) - K; every term carries exp(-2qa).
 
     Written out from the closed forms of u'v - uv', u'w - uw' and vw' - v'w
@@ -98,18 +89,19 @@ def _scaled_p_remainder(sc, a: float, L: float) -> float:
 
     with w~ the scaled w. Verified symbolically against the plain formula.
     """
-    kin, state = sc.kin, sc.state
+    kin = sc.kin
     delta, s2 = kin.delta, kin.sigma_sq
-    e = state.e_neg
-    p = state.one_minus_e
+    e = sc.e_neg
+    p = sc.one_minus_e
+    w_s = sc.w_scaled
     mp = 1.0 + e
     ka = kin.k * a
     q = kin.q
     poly_a = 2.0 + e * e * (-2.0 + e)            # 2 - 2e^2 + e^3
     poly_b = 2.0 + e * (-2.0 + e * (2.0 - e))    # 2 - 2e + 2e^2 - e^3
     return e * (
-        (q * L / 2.0) * (e + 2.0 * state.w_scaled)
-        + 0.5 * delta * ka * (e + state.w_scaled)
+        (q * L / 2.0) * (e + 2.0 * w_s)
+        + 0.5 * delta * ka * (e + w_s)
         + (s2 / 8.0) * mp * p
         - (s2 * s2 / 128.0) * poly_a
         + sc.sin2kl * ((s2 * ka / 16.0) * mp * p - (s2 * delta / 32.0) * poly_b)
@@ -120,17 +112,21 @@ def _scaled_p_remainder(sc, a: float, L: float) -> float:
 
 def phase_time(sys: BarrierSystem, E: float) -> PhaseTimeBreakdown:
     """Exact phase-time via the analytic P formula (see module docstring)."""
-    sc = scaled_denominator(sys, E)
+    return _phase_time_of(scaled_denominator(sys, E), sys.a, sys.L)
+
+
+def _phase_time_of(sc: ScaledDenominator, a: float, L: float) -> PhaseTimeBreakdown:
+    """phase_time from an already evaluated denominator of the system (a, L).
+
+    Lets a caller that needs both the probability and the phase-time at one
+    energy evaluate scaled_denominator once.
+    """
     kin = sc.kin
-    num = sc.k_lead + _scaled_p_remainder(sc, sys.a, sys.L)  # (q/2) P exp(-4qa)
-    den = sc.k_lead + sc.r_d                                 # |D|^2 exp(-4qa)
+    num = sc.k_lead + _scaled_p_remainder(sc, a, L)  # (q/2) P exp(-4qa)
+    den = sc.k_lead + sc.r_d                         # |D|^2 exp(-4qa)
     total = (kin.m / (kin.hbar * kin.k)) * (2.0 / kin.q) * (num / den)
     scale4 = _exp(2.0 * sc.log_scale)
-    return PhaseTimeBreakdown(
-        total=total,
-        P_value=(2.0 / kin.q) * num * scale4,
-        mod_squared=den * scale4,
-    )
+    return PhaseTimeBreakdown(total, (2.0 / kin.q) * num * scale4, den * scale4)
 
 
 def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> float:
@@ -171,18 +167,17 @@ def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
             f"|A_T|^2 = {p_trans} at claimed resonance E_r={res.E_r} J"
         )
     kin = sc.kin
-    state = sc.state
-    e = state.e_neg
-    chsh = (1.0 + e) * state.one_minus_e / 4.0
+    e = sc.e_neg
+    chsh = (1.0 + e) * sc.one_minus_e / 4.0
     bracket_scaled = (
         kin.sigma_sq * chsh
         + kin.delta * kin.k * sys.a * e
-        + (e + 2.0 * state.w_scaled) * kin.q * sys.L
+        + (e + 2.0 * sc.w_scaled) * kin.q * sys.L
     )
     return (
         (kin.m / (kin.hbar * kin.k * kin.q))
         * bracket_scaled
-        * math.exp(state.log_scale)
+        * math.exp(sc.log_scale)
     )
 
 

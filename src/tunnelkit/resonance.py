@@ -39,7 +39,7 @@ from .errors import (
     MassFitError,
     ResonanceValidationError,
 )
-from .kinematics import BarrierSystem, hyperbolic_state, kinematics
+from .kinematics import BarrierSystem, _exp, hyperbolic_state, kinematics
 from .transmission import scaled_denominator
 
 __all__ = [
@@ -229,10 +229,7 @@ def uv_wronskian_closed_form(sys: BarrierSystem, E: float) -> float:
         * (kin.delta * kin.k * sys.a * e + kin.sigma_sq * chsh)
         / kin.q
     )
-    try:
-        return scaled * math.exp(2.0 * state.log_scale)
-    except OverflowError:
-        return math.inf
+    return scaled * _exp(2.0 * state.log_scale)
 
 
 def resonance_expansion(sys: BarrierSystem, res: Resonance) -> ResonanceExpansion:

@@ -27,10 +27,15 @@ from typing import Literal, Optional
 
 from .constants import CODATA2018, PhysicalConstants
 from .errors import DomainError, OpaqueBracketError
-from .kinematics import BarrierSystem, kinematics
-from .phase_time import average_phase_time, phase_time, phase_time_at_resonance, phase_time_opaque
+from .kinematics import BarrierSystem
+from .phase_time import (
+    _phase_time_of,
+    average_phase_time,
+    phase_time_at_resonance,
+    phase_time_opaque,
+)
 from .resonance import find_resonances, fit_effective_mass
-from .transmission import opaque_bracket, probability, probability_opaque
+from .transmission import scaled_denominator
 
 __all__ = [
     "NEUTRON_BARRIER_WIDTH_ANGSTROM",
@@ -183,6 +188,8 @@ def hartman_sweep(
 
     Values must be positive and ascending. Rows whose geometry puts E on
     top of a resonance are flagged (asymptotic column dropped), not fatal.
+    Each row evaluates the denominator once: probability, exact tau, the
+    bracket B and sigma^2 all come from that one scaled_denominator.
     """
     if not values:
         raise DomainError("sweep needs at least one value")
@@ -190,16 +197,15 @@ def hartman_sweep(
         raise DomainError("sweep values must be positive")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError("sweep values must be strictly ascending")
-    kinematics(sys, E)  # validate the energy once against U0
 
     rows = []
     for value in values:
         probe = _swept_system(sys, axis, value)
-        prob = probability(probe, E)
-        tau_exact = phase_time(probe, E).total
-        bracket = opaque_bracket(probe, E)
-        s2 = kinematics(probe, E).sigma_sq
-        flagged = bracket <= _FLAG_FRACTION * 0.25 * s2
+        sc = scaled_denominator(probe, E)  # raises DomainError unless 0 < E < U0
+        prob = math.exp(-sc.log_mod_squared)
+        tau_exact = _phase_time_of(sc, probe.a, probe.L).total
+        bracket = sc.bracket
+        flagged = bracket <= _FLAG_FRACTION * 0.25 * sc.kin.sigma_sq
         reason = None
         tau_asym: Optional[float] = None
         if flagged:
@@ -208,8 +214,9 @@ def hartman_sweep(
                 f"{_FLAG_FRACTION:.0%} of sigma^2/4: resonance collision"
             )
         else:
+            # B is above 5% of its mean here, so probability_opaque's 1e-9
+            # test would pass; only phase_time_opaque's own bracket can reject.
             try:
-                probability_opaque(probe, E)
                 tau_asym = phase_time_opaque(probe, E)
             except OpaqueBracketError as exc:
                 flagged, reason = True, str(exc)

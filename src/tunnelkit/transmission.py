@@ -21,6 +21,11 @@ a factor exp(-2qa). The split is algebraically exact at all energies; its
 point is that in the opaque regime the remainder drops below one ulp of K
 and the leading bracket then cancels exactly in ratios like the
 phase-time, instead of leaving rounding noise of order 1e-16.
+
+The per-energy records (ScaledDenominator, TransmissionResult) are
+immutable NamedTuples, built positionally: a frozen dataclass costs about
+six times as much to build, keyword construction twice as much, and
+either would dominate the time of one energy point.
 """
 
 from __future__ import annotations
@@ -28,12 +33,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, OpaqueBracketError
+from .errors import OpaqueBracketError
 from .kinematics import (
     BarrierSystem,
-    HyperbolicState,
     Kinematics,
+    _exp,
+    _scaled_uvw,
     hyperbolic_state,
     kinematics,
 )
@@ -62,23 +69,26 @@ class DenominatorParts:
     mod_squared: float
 
 
-@dataclass(frozen=True)
-class TransmissionResult:
+class TransmissionResult(NamedTuple):
     amplitude: complex
     probability: float
 
 
-@dataclass(frozen=True)
-class ScaledDenominator:
+class ScaledDenominator(NamedTuple):
     """exp(-2qa)-scaled denominator pieces shared with the phase-time module.
 
     True values: D1 = d1 * e^s, D2 = d2 * e^s, |D|^2 = (k_lead + r_d) * e^2s
     with s = log_scale = 2qa. k_lead is the opaque-limit term (sigma^2/32) B
-    and r_d the exact remainder, proportional to exp(-2qa).
+    and r_d the exact remainder, proportional to exp(-2qa). e_neg,
+    one_minus_e and w_scaled are the hyperbolic_state values of the same
+    name; the k-derivatives are not computed on this path.
     """
 
     kin: Kinematics
-    state: HyperbolicState
+    log_scale: float    # 2qa
+    e_neg: float        # exp(-2qa)
+    one_minus_e: float  # 1 - exp(-2qa)
+    w_scaled: float     # w exp(-2qa)
     cos2kl: float
     sin2kl: float
     bracket: float      # B
@@ -86,7 +96,6 @@ class ScaledDenominator:
     d2: float
     k_lead: float
     r_d: float
-    log_scale: float    # 2qa
 
     @property
     def mod_sq_scaled(self) -> float:
@@ -100,12 +109,12 @@ class ScaledDenominator:
 def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
     """Evaluate the scaled denominator pieces at energy E."""
     kin = kinematics(sys, E)
-    state = hyperbolic_state(kin, sys.a)
     delta, s2 = kin.delta, kin.sigma_sq
-    e = state.e_neg
-    p = state.one_minus_e
-    cos2 = math.cos(2.0 * kin.k * sys.L)
-    sin2 = math.sin(2.0 * kin.k * sys.L)
+    two_qa = 2.0 * kin.q * sys.a
+    e, p, _, _, _, u_s, v_s, w_s = _scaled_uvw(delta, s2, two_qa)
+    two_kl = 2.0 * kin.k * sys.L
+    cos2 = math.cos(two_kl)
+    sin2 = math.sin(two_kl)
 
     bracket = 0.25 * s2 + (1.0 - 0.25 * delta * delta) * cos2 + delta * sin2
     k_lead = (s2 / 32.0) * bracket
@@ -121,27 +130,11 @@ def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
         - sin2 * (s2 * delta / 32.0) * poly3
     )
 
-    d1 = state.u_scaled + state.w_scaled * cos2
-    d2 = state.v_scaled + state.w_scaled * sin2
+    d1 = u_s + w_s * cos2
+    d2 = v_s + w_s * sin2
     return ScaledDenominator(
-        kin=kin,
-        state=state,
-        cos2kl=cos2,
-        sin2kl=sin2,
-        bracket=bracket,
-        d1=d1,
-        d2=d2,
-        k_lead=k_lead,
-        r_d=r_d,
-        log_scale=state.log_scale,
+        kin, two_qa, e, p, w_s, cos2, sin2, bracket, d1, d2, k_lead, r_d
     )
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def denominator(sys: BarrierSystem, E: float) -> DenominatorParts:

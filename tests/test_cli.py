@@ -161,6 +161,18 @@ def test_neutron_constants_override_round_trips(capsys, tmp_path):
     assert json.loads(out)["E_r_free_mass"] == pytest.approx(123.04, abs=0.05)
 
 
+def test_neutron_constants_refuse_hbar_override(capsys, tmp_path):
+    # The closed forms always use CODATA 2018 hbar; another value would be
+    # ignored silently, so it is refused before anything is computed.
+    other = tmp_path / "hbar.json"
+    other.write_text(json.dumps({"hbar": 1.2e-34}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "neutron", "--constants", str(other))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: constants field 'hbar'")
+    assert "1.2e-34" in err
+
+
 def test_sweep_csv_and_flags(capsys):
     code, out, _ = run_cli(
         capsys,

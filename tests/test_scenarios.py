@@ -9,13 +9,14 @@ import pytest
 from tunnelkit.constants import CODATA2018
 from tunnelkit.errors import DomainError
 from tunnelkit.kinematics import kinematics
-from tunnelkit.phase_time import phase_time
+from tunnelkit.phase_time import phase_time, phase_time_opaque
 from tunnelkit.scenarios import (
     MEASURED_ANNOTATIONS,
     hartman_sweep,
     neutron_filter_system,
     run_neutron_scenario,
 )
+from tunnelkit.transmission import probability
 
 from conftest import neutron_system
 
@@ -146,6 +147,32 @@ def test_gap_sweep_flags_resonant_rows(neutron):
     for row in table.rows:
         assert math.isfinite(row.tau_exact)
         assert 0.0 <= row.probability <= 1.0
+
+
+@pytest.mark.parametrize("axis", ["barrier_width", "gap_length"])
+def test_sweep_rows_equal_the_per_point_functions(neutron, axis):
+    # A row evaluates the denominator once; its columns must still be
+    # exactly what the public per-point functions return for that geometry.
+    E = 0.35 * neutron.U0
+    kin = kinematics(neutron, E)
+    if axis == "barrier_width":
+        sys = neutron
+        values = [qa / kin.q for qa in (0.5, 1, 2, 5, 8, 12, 20, 30)]
+    else:
+        sys = dataclasses.replace(neutron, a=20.0 / kin.q)
+        values = [(0.3 + 0.05 * i) / kin.q for i in range(80)]
+    table = hartman_sweep(sys, E, axis, values)
+    flags = set()
+    for value, row in zip(values, table.rows):
+        field = "a" if axis == "barrier_width" else "L"
+        probe = dataclasses.replace(sys, **{field: value})
+        assert row.probability == probability(probe, E)
+        assert row.tau_exact == phase_time(probe, E).total
+        if not row.flagged:
+            assert row.tau_asymptotic == phase_time_opaque(probe, E)
+        flags.add(row.flagged)
+    if axis == "gap_length":
+        assert flags == {True, False}
 
 
 def test_sweep_serialization_units(neutron):

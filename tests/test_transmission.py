@@ -9,6 +9,7 @@ import pytest
 from tunnelkit.constants import joule_from_nev
 from tunnelkit.errors import DomainError, OpaqueBracketError
 from tunnelkit.kinematics import hyperbolic_state, kinematics
+from tunnelkit.phase_time import phase_time
 from tunnelkit.scatter_oracle import double_barrier_profile, solve
 from tunnelkit.transmission import (
     amplitude,
@@ -17,6 +18,7 @@ from tunnelkit.transmission import (
     opaque_bracket,
     probability,
     probability_opaque,
+    scaled_denominator,
     transmitted_phase,
 )
 
@@ -201,3 +203,25 @@ def test_underflow_is_graceful_far_beyond_double_range(neutron):
     sys = dataclasses.replace(neutron, a=700.0 / q)
     assert probability(sys, E) == 0.0
     assert log_probability(sys, E) == pytest.approx(-4.0 * 700.0, rel=1e-2)
+
+
+@pytest.mark.parametrize(
+    "evaluate, fields",
+    [
+        (kinematics, ("E", "k", "q", "delta", "sigma", "hbar", "m")),
+        (
+            scaled_denominator,
+            ("kin", "log_scale", "e_neg", "one_minus_e", "w_scaled", "cos2kl",
+             "sin2kl", "bracket", "d1", "d2", "k_lead", "r_d"),
+        ),
+        (amplitude, ("amplitude", "probability")),
+        (phase_time, ("total", "P_value", "mod_squared")),
+    ],
+)
+def test_per_energy_records_are_immutable(neutron, evaluate, fields):
+    record = evaluate(neutron, 0.35 * neutron.U0)
+    assert type(record)._fields == fields
+    assert repr(record).startswith(f"{type(record).__name__}({fields[0]}=")
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
