@@ -11,22 +11,24 @@ and the two dimensionless shape parameters are
 
     delta = (q^2 - k^2) / (k q),   sigma = (k^2 + q^2) / (k q),
 
-linked by sigma^2 = delta^2 + 4. The closed-form transmission denominator
-is built out of
+linked by sigma^2 = delta^2 + 4. The textbook closed-form transmission
+denominator D = u + w cos(2kL) + i [v + w sin(2kL)] is built out of
 
     u = cosh^2(qa) - (delta^2/4) sinh^2(qa)
     v = delta cosh(qa) sinh(qa)
     w = (sigma^2/4) sinh^2(qa)
 
-together with their derivatives with respect to k.
+together with their derivatives with respect to k. The per-energy path
+(transmission, phase_time, resonance) uses the equivalent single-barrier
+form D = exp(2i chi)(1 + 2w cos(psi) exp(i psi)) instead; hyperbolic_state
+stays as the independent route that resonance_expansion and the tests
+check it against.
 
 Overflow guard: cosh/sinh overflow double precision near qa ~ 355, and the
 quadratic combinations above already overflow near qa ~ 177. All values
 here are therefore stored scaled by exp(-2qa) alongside log_scale = 2qa;
 the plain attributes reconstruct the unscaled numbers (becoming inf once
-they genuinely exceed the double range). Downstream modules stay in the
-scaled representation, which is what makes opaque-barrier sweeps up to
-qa ~ 700 possible.
+they genuinely exceed the double range).
 
 Kinematics is an immutable NamedTuple rather than a frozen dataclass: it
 is built once per energy point, and a NamedTuple costs a fraction of a
@@ -148,7 +150,7 @@ class HyperbolicState:
     True values are <name>_scaled * exp(log_scale) with log_scale = 2qa.
     The extra fields e_neg = exp(-2qa) and its complement one_minus_e
     (computed with expm1 so small qa keeps full precision) are what the
-    scaled algebra downstream is written in.
+    scaled identities, such as u~^2 + v~^2 = (e + w~)^2, are written in.
     """
 
     log_scale: float      # 2 q a
@@ -215,7 +217,15 @@ def hyperbolic_state(kin: Kinematics, a: float) -> HyperbolicState:
     delta = kin.delta
     s2 = kin.sigma_sq
     two_qa = 2.0 * q * a
-    e_neg, one_minus_e, ch2, sh2, chsh, u_s, v_s, w_s = _scaled_uvw(delta, s2, two_qa)
+    e_neg = math.exp(-two_qa)
+    one_minus_e = -math.expm1(-two_qa)   # accurate for small qa
+    mp = 1.0 + e_neg
+    ch2 = mp * mp / 4.0
+    sh2 = one_minus_e * one_minus_e / 4.0
+    chsh = mp * one_minus_e / 4.0
+    u_s = ch2 - 0.25 * delta * delta * sh2
+    v_s = delta * chsh
+    w_s = 0.25 * s2 * sh2
 
     ka_q = k * a / q        # m
 
@@ -235,30 +245,3 @@ def hyperbolic_state(kin: Kinematics, a: float) -> HyperbolicState:
         wp_scaled=wp_s,
     )
 
-
-def _scaled_uvw(delta: float, s2: float, two_qa: float) -> tuple:
-    """u, v, w and their hyperbolic building blocks, all times exp(-2qa).
-
-    Returns (e, 1 - e, ch2, sh2, chsh, u~, v~, w~) with e = exp(-2qa),
-    1 - e from expm1 so small qa keeps full precision, and
-
-        ch2 = cosh^2 e^-2qa = (1+e)^2/4,  sh2 = sinh^2 e^-2qa = (1-e)^2/4,
-        chsh = cosh sinh e^-2qa = (1+e)(1-e)/4,
-        u~ = ch2 - (delta^2/4) sh2,  v~ = delta chsh,  w~ = (sigma^2/4) sh2.
-
-    Shared by hyperbolic_state and the per-energy transmission path, which
-    needs the values but not their derivatives.
-    """
-    one_minus_e = -math.expm1(-two_qa)   # 1 - exp(-2qa), accurate for small qa
-    e_neg = 1.0 - one_minus_e
-    p = one_minus_e
-    mp = 1.0 + e_neg
-
-    ch2 = mp * mp / 4.0     # cosh^2 * e^-2qa
-    sh2 = p * p / 4.0       # sinh^2 * e^-2qa
-    chsh = mp * p / 4.0     # cosh sinh * e^-2qa
-
-    u_s = ch2 - 0.25 * delta * delta * sh2
-    v_s = delta * chsh
-    w_s = 0.25 * s2 * sh2
-    return e_neg, one_minus_e, ch2, sh2, chsh, u_s, v_s, w_s

@@ -4,32 +4,23 @@ The stationary-phase traversal time is hbar times the energy derivative of
 the transmitted wave's phase, referenced to free propagation over the full
 structure 2a + L:
 
-    tau = hbar * d/dE arg{ A_T exp[ik(2a + L)] }.
+    tau = hbar * d/dE arg{ A_T exp[ik(2a + L)] } = (m / hbar k) d/dk (kL - arg D).
 
-Carrying the derivative through the closed-form denominator gives the
-exact expression
+With D = exp(2i chi)(1 + 2w cos(psi) exp(i psi)) and psi = kL - chi (see
+the transmission module) the derivative is exact and short:
 
-    tau = (m / hbar k) P / |D|^2,
-    P   = (1 + 2w) L + u'v - uv'
-          + (u'w - uw') sin(2kL) + (vw' - v'w) cos(2kL),
+    tau = (m / hbar k) [ (L - chi')(1 + 2w) / |D|^2 - chi' - w' sin(2 psi) / |D|^2 ],
 
-with the primes denoting d/dk. At a certified resonance this collapses to
+with the primes denoting d/dk. chi' does not depend on L, and the two
+L-dependent terms carry a factor 1/|D|^2 ~ exp(-4qa) against w ~ exp(2qa),
+so for opaque barriers (qa >> 1, away from resonances) tau settles on the
+width- and gap-independent plateau -(m/hbar k) chi' -> 2m/(hbar k q) with
+no cancellation between large terms. At a resonance (cos psi = 0, |D| = 1)
+it collapses to
 
-    tau_r = (m / hbar k q) [sigma^2 cosh(qa) sinh(qa) + delta k a + (1 + 2w) q L],
+    tau_r = (m / hbar k) [ (1 + 2w)(L - chi') - chi' ],
 
-and for opaque barriers (qa >> 1, away from resonances) it saturates at
-the width- and gap-independent plateau 2m/(hbar k q).
-
-Evaluation strategy. (q/2) P exp(-4qa) and |D|^2 exp(-4qa) are both
-computed as K + remainder, where K = (sigma^2/32) B is their common
-opaque-limit term (B is the asymptotic bracket shared with the
-transmission module) and each remainder is exact with an overall factor
-exp(-2qa). The split is algebraically identical to the formulas above at
-every energy; numerically it makes the plateau clean: once the remainders
-drop below one ulp of K, the bracket cancels bit-for-bit in the ratio and
-the computed tau is exactly 2m/(hbar k q) instead of that value plus
-rounding noise. Without the split, the exponentially small L-dependence
-near the plateau would drown in arithmetic noise around qa ~ 20.
+which is the free flight mL/(hbar k) plus hbar/beta.
 
 The numeric route (central difference of the unwrapped phase) stays
 deliberately independent of the analytic one and certifies it; the
@@ -50,7 +41,7 @@ from .errors import (
     ResonanceValidationError,
     StepError,
 )
-from .kinematics import BarrierSystem, _exp, hyperbolic_state, kinematics
+from .kinematics import BarrierSystem, _exp, kinematics
 from .resonance import Resonance
 from .transmission import ScaledDenominator, scaled_denominator, transmitted_phase
 
@@ -75,58 +66,25 @@ class PhaseTimeBreakdown(NamedTuple):
     mod_squared: float
 
 
-def _scaled_p_remainder(sc: ScaledDenominator, a: float, L: float) -> float:
-    """Exact remainder (q/2) P exp(-4qa) - K; every term carries exp(-2qa).
-
-    Written out from the closed forms of u'v - uv', u'w - uw' and vw' - v'w
-    with e = exp(-2qa), p = 1 - e, mp = 1 + e:
-
-      R_P = e [ (qL/2)(e + 2w~) + (delta ka / 2)(e + w~) + (s2/8) mp p
-                - (s2^2/128)(2 - 2e^2 + e^3)
-                + sin(2kL) ( (s2 ka/16) mp p - (s2 delta/32)(2 - 2e + 2e^2 - e^3) )
-                + cos(2kL) ( -(s2(4 - delta^2)/128)(2 - 2e^2 + e^3)
-                             - (s2 delta ka/32) p^2 ) ]
-
-    with w~ the scaled w. Verified symbolically against the plain formula.
-    """
-    kin = sc.kin
-    delta, s2 = kin.delta, kin.sigma_sq
-    e = sc.e_neg
-    p = sc.one_minus_e
-    w_s = sc.w_scaled
-    mp = 1.0 + e
-    ka = kin.k * a
-    q = kin.q
-    poly_a = 2.0 + e * e * (-2.0 + e)            # 2 - 2e^2 + e^3
-    poly_b = 2.0 + e * (-2.0 + e * (2.0 - e))    # 2 - 2e + 2e^2 - e^3
-    return e * (
-        (q * L / 2.0) * (e + 2.0 * w_s)
-        + 0.5 * delta * ka * (e + w_s)
-        + (s2 / 8.0) * mp * p
-        - (s2 * s2 / 128.0) * poly_a
-        + sc.sin2kl * ((s2 * ka / 16.0) * mp * p - (s2 * delta / 32.0) * poly_b)
-        + sc.cos2kl
-        * (-(s2 * (4.0 - delta * delta) / 128.0) * poly_a - (s2 * delta * ka / 32.0) * p * p)
-    )
-
-
 def phase_time(sys: BarrierSystem, E: float) -> PhaseTimeBreakdown:
-    """Exact phase-time via the analytic P formula (see module docstring)."""
-    return _phase_time_of(scaled_denominator(sys, E), sys.a, sys.L)
+    """Exact phase-time from the Fabry-Perot form (see module docstring)."""
+    return _phase_time_of(scaled_denominator(sys, E), sys.L)
 
 
-def _phase_time_of(sc: ScaledDenominator, a: float, L: float) -> PhaseTimeBreakdown:
-    """phase_time from an already evaluated denominator of the system (a, L).
+def _phase_time_of(sc: ScaledDenominator, L: float) -> PhaseTimeBreakdown:
+    """phase_time from an already evaluated denominator of a system of gap L.
 
     Lets a caller that needs both the probability and the phase-time at one
     energy evaluate scaled_denominator once.
     """
     kin = sc.kin
-    num = sc.k_lead + _scaled_p_remainder(sc, a, L)  # (q/2) P exp(-4qa)
-    den = sc.k_lead + sc.r_d                         # |D|^2 exp(-4qa)
-    total = (kin.m / (kin.hbar * kin.k)) * (2.0 / kin.q) * (num / den)
+    e, w = sc.e_neg, sc.w_scaled
+    # (tau hbar k / m + chi') |D|^2 exp(-4qa): the two terms that carry L
+    gap = e * ((L - sc.chi_k) * (e + 2.0 * w) - 2.0 * sc.w_k_scaled * sc.sin_psi * sc.cos_psi)
+    den = sc.mod_sq_scaled
+    total = (kin.m / (kin.hbar * kin.k)) * (gap / den - sc.chi_k)
     scale4 = _exp(2.0 * sc.log_scale)
-    return PhaseTimeBreakdown(total, (2.0 / kin.q) * num * scale4, den * scale4)
+    return PhaseTimeBreakdown(total, (gap - sc.chi_k * den) * scale4, den * scale4)
 
 
 def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> float:
@@ -155,10 +113,11 @@ def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> 
 
 
 def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
-    """tau_r = (m / hbar k q) [sigma^2 cosh(qa) sinh(qa) + delta k a + (1+2w) qL].
+    """tau_r = (m / hbar k) [(1 + 2w)(L - chi') - chi'] = (m / hbar k)(L + 2G).
 
-    Only meaningful at a genuine transparency point, so the resonance is
-    re-certified (|A_T|^2 within 1e-6 of unity) before evaluating.
+    G = wL - (1+w) chi' is the record's width bracket. Only meaningful at a
+    genuine transparency point, so the resonance is re-certified (|A_T|^2
+    within 1e-6 of unity) before evaluating.
     """
     sc = scaled_denominator(sys, res.E_r)
     p_trans = math.exp(-sc.log_mod_squared)
@@ -167,18 +126,8 @@ def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
             f"|A_T|^2 = {p_trans} at claimed resonance E_r={res.E_r} J"
         )
     kin = sc.kin
-    e = sc.e_neg
-    chsh = (1.0 + e) * sc.one_minus_e / 4.0
-    bracket_scaled = (
-        kin.sigma_sq * chsh
-        + kin.delta * kin.k * sys.a * e
-        + (e + 2.0 * sc.w_scaled) * kin.q * sys.L
-    )
-    return (
-        (kin.m / (kin.hbar * kin.k * kin.q))
-        * bracket_scaled
-        * math.exp(sc.log_scale)
-    )
+    bracket = sc.e_neg * sys.L + 2.0 * sc.width_bracket(sys.L)
+    return (kin.m / (kin.hbar * kin.k)) * bracket * math.exp(sc.log_scale)
 
 
 def hartman_limit(sys: BarrierSystem, E: float) -> float:
@@ -203,7 +152,6 @@ def phase_time_opaque(sys: BarrierSystem, E: float) -> float:
     A non-positive bracket signals a resonance and raises.
     """
     kin = kinematics(sys, E)
-    state = hyperbolic_state(kin, sys.a)
     delta, s2 = kin.delta, kin.sigma_sq
     cos2 = math.cos(2.0 * kin.k * sys.L)
     sin2 = math.sin(2.0 * kin.k * sys.L)
@@ -215,7 +163,7 @@ def phase_time_opaque(sys: BarrierSystem, E: float) -> float:
         )
     leading = 2.0 * kin.m / (kin.hbar * kin.k * kin.q)
     correction = (
-        (4.0 * kin.m / (kin.hbar * kin.k)) * sys.L * math.exp(-state.log_scale) / bracket
+        (4.0 * kin.m / (kin.hbar * kin.k)) * sys.L * math.exp(-2.0 * kin.q * sys.a) / bracket
     )
     return leading + correction
 

@@ -1,31 +1,34 @@
 """Resonance location, parameter inversion and the Breit-Wigner description.
 
-The double barrier is fully transparent (|A_T|^2 = 1) exactly where
+With chi = atan((delta/2) tanh(qa)) and psi = kL - chi, the double barrier
+is fully transparent (|A_T|^2 = 1 + 4w(1+w) cos^2(psi) = 1) exactly where
+cos(psi) = 0, i.e. where
 
-    cosh(qa) cos(kL) + (delta/2) sinh(qa) sin(kL) = 0,
+    cos(kL) + (delta/2) tanh(qa) sin(kL) = cos(psi) / cos(chi) = 0.
 
-i.e. cot(kL) = -(delta/2) tanh(qa). The residual implemented here is that
-factor divided by cosh(qa), which keeps it O(1) however opaque the
-barriers are. Every root located by the scan is certified against the
-independent full-transparency condition |A_T(k_r)|^2 = 1 before it is
-accepted; the certification is what makes the tanh form self-validating.
+That residual is O(1) however opaque the barriers are. Every root located
+by the scan is certified against the independent full-transparency
+condition |A_T(k_r)|^2 = 1 before it is accepted; the certification is
+what makes the tanh form self-validating.
 
 Near a certified resonance the denominator linearizes to
-D = C_r (E - E_r + i beta) with
+D = C_r (E - E_r + i beta) with |D(E_r)| = 1, so beta = 1/|D'(E_r)|:
 
-    beta   = (hbar^2 k q / m) / [delta k a + 2 q L w + sigma^2 cosh qa sinh qa]
-    |C_r|  = 1 / beta,
+    beta = hbar^2 k / (2m G),   G = wL - (1+w) chi' > 0,
 
-which turns the transmission into the Lorentzian beta^2/((E-E_r)^2+beta^2)
-and adds hbar beta/((E-E_r)^2+beta^2) of time delay on top of the
-free flight over the gap.
+(chi' = d chi/dk; G is the scaled record's width_bracket), which turns the
+transmission into the Lorentzian beta^2/((E-E_r)^2+beta^2) and adds
+hbar beta/((E-E_r)^2+beta^2) of time delay on top of the free flight over
+the gap.
 
 Scan resolution: the default 2000-cell grid resolves the neutron-filter
 regime comfortably, but the width beta shrinks roughly like exp(-2qa) both
 for wider gaps and for more opaque barriers, so narrow resonances need a
-finer grid; past qa ~ 16 a root can no longer be pinned tightly enough in
-double precision for the certification to succeed, and find_resonances
-raises rather than return an uncertified root.
+finer grid. The closed form itself stays exact at a root; what runs out
+is the placing of the root: certification within 1e-9 needs the root
+within ~3e-5 beta, which doubles cannot resolve once beta/E_r is near
+1e-12 (qa ~ 14.5 at E ~ U0/2). find_resonances then raises rather than
+return an uncertified root.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     ResonanceValidationError,
 )
 from .kinematics import BarrierSystem, _exp, hyperbolic_state, kinematics
-from .transmission import scaled_denominator
+from .transmission import ScaledDenominator, scaled_denominator
 
 __all__ = [
     "Resonance",
@@ -85,10 +88,6 @@ def resonance_residual(sys: BarrierSystem, E: float) -> float:
     return math.cos(kin.k * sys.L) + 0.5 * kin.delta * math.tanh(
         kin.q * sys.a
     ) * math.sin(kin.k * sys.L)
-
-
-def _transmission_probability(sys: BarrierSystem, E: float) -> float:
-    return math.exp(-scaled_denominator(sys, E).log_mod_squared)
 
 
 def _bisect(f, lo: float, hi: float, flo: float) -> float:
@@ -136,18 +135,18 @@ def find_resonances(
         f_cur = f(e_cur)
         if f_prev == 0.0 or (f_prev < 0.0) != (f_cur < 0.0):
             root = e_prev if f_prev == 0.0 else _bisect(f, e_prev, e_cur, f_prev)
-            p = _transmission_probability(sys, root)
+            sc = scaled_denominator(sys, root)
+            p = math.exp(-sc.log_mod_squared)
             if abs(p - 1.0) > CERTIFICATION_TOL:
                 raise ResonanceValidationError(
                     f"candidate at E={root} J has |A_T|^2={p}, off unity by "
                     f"{abs(p - 1.0):.3e} (> {CERTIFICATION_TOL}); refine the grid "
                     "or accept that the resonance is unresolvable in double precision"
                 )
-            kin = kinematics(sys, root)
-            res = Resonance(E_r=root, k_r=kin.k, beta=math.nan, index=len(results))
-            beta = breit_wigner_width(sys, res)
             results.append(
-                Resonance(E_r=root, k_r=kin.k, beta=beta, index=len(results))
+                Resonance(
+                    E_r=root, k_r=sc.kin.k, beta=_width(sc, sys.L), index=len(results)
+                )
             )
         e_prev, f_prev = e_cur, f_cur
     return results
@@ -190,46 +189,38 @@ def fit_effective_mass(
     return _bisect(g, m_lo, m_hi, g_lo)
 
 
+def _width(sc: ScaledDenominator, L: float) -> float:
+    """beta = hbar^2 k / (2m G) from the record at a certified root."""
+    bracket = sc.width_bracket(L)
+    if bracket <= 0.0:
+        raise DegenerateResonanceError(
+            f"width bracket {bracket} <= 0 at E_r={sc.kin.E} J"
+        )
+    kin = sc.kin
+    return (kin.hbar**2 * kin.k / (2.0 * kin.m)) * sc.e_neg / bracket
+
+
 def breit_wigner_width(sys: BarrierSystem, res: Resonance) -> float:
     """Half-width beta of the Lorentzian transmission profile.
 
-    beta = (hbar^2 k q / m) / [delta k a + 2 q L w + sigma^2 cosh qa sinh qa],
-    evaluated in the exp(-2qa)-scaled representation so opaque systems
-    underflow gracefully instead of overflowing.
+    beta = hbar^2 k / (2m [wL - (1+w) chi']) = 1/|D'(E_r)|, evaluated in
+    the exp(-2qa)-scaled representation so opaque systems underflow
+    gracefully instead of overflowing.
     """
-    kin = kinematics(sys, res.E_r)
-    state = hyperbolic_state(kin, sys.a)
-    e = state.e_neg
-    chsh = (1.0 + e) * state.one_minus_e / 4.0
-    bracket_scaled = (
-        kin.delta * kin.k * sys.a * e
-        + 2.0 * kin.q * sys.L * state.w_scaled
-        + kin.sigma_sq * chsh
-    )
-    if bracket_scaled <= 0.0:
-        raise DegenerateResonanceError(
-            f"width bracket {bracket_scaled} <= 0 at E_r={res.E_r} J"
-        )
-    return (kin.hbar**2 * kin.k * kin.q / kin.m) * e / bracket_scaled
+    return _width(scaled_denominator(sys, res.E_r), sys.L)
 
 
 def uv_wronskian_closed_form(sys: BarrierSystem, E: float) -> float:
-    """u'v - uv' = (1 + w) [delta k a + sigma^2 cosh(qa) sinh(qa)] / q.
+    """u'v - uv' = -2 (1 + w)^2 chi' = (1 + w) [delta k a + sigma^2 cosh(qa) sinh(qa)] / q.
 
-    Exact at every energy (not only at resonances); the direct-arithmetic
-    route through the state derivatives cross-checks it. Overflows to inf
-    once qa is past ~177, like the quantity itself.
+    Exact at every energy (not only at resonances), because
+    u + iv = (1 + w) exp(2i chi); the direct-arithmetic route through the
+    state derivatives cross-checks it. Overflows to inf once qa is past
+    ~177, like the quantity itself.
     """
-    kin = kinematics(sys, E)
-    state = hyperbolic_state(kin, sys.a)
-    e = state.e_neg
-    chsh = (1.0 + e) * state.one_minus_e / 4.0
-    scaled = (
-        (e + state.w_scaled)
-        * (kin.delta * kin.k * sys.a * e + kin.sigma_sq * chsh)
-        / kin.q
-    )
-    return scaled * _exp(2.0 * state.log_scale)
+    sc = scaled_denominator(sys, E)
+    scaled = 2.0 * (sc.e_neg + sc.w_scaled) * sc.width_bracket(0.0)
+    return scaled * _exp(2.0 * sc.log_scale)
 
 
 def resonance_expansion(sys: BarrierSystem, res: Resonance) -> ResonanceExpansion:

@@ -35,7 +35,7 @@ from .phase_time import (
     phase_time_opaque,
 )
 from .resonance import find_resonances, fit_effective_mass
-from .transmission import scaled_denominator
+from .transmission import _opaque_bracket, scaled_denominator
 
 __all__ = [
     "NEUTRON_BARRIER_WIDTH_ANGSTROM",
@@ -188,8 +188,8 @@ def hartman_sweep(
 
     Values must be positive and ascending. Rows whose geometry puts E on
     top of a resonance are flagged (asymptotic column dropped), not fatal.
-    Each row evaluates the denominator once: probability, exact tau, the
-    bracket B and sigma^2 all come from that one scaled_denominator.
+    Each row evaluates the denominator once: probability, exact tau and
+    the bracket B all come from that one scaled_denominator.
     """
     if not values:
         raise DomainError("sweep needs at least one value")
@@ -203,8 +203,8 @@ def hartman_sweep(
         probe = _swept_system(sys, axis, value)
         sc = scaled_denominator(probe, E)  # raises DomainError unless 0 < E < U0
         prob = math.exp(-sc.log_mod_squared)
-        tau_exact = _phase_time_of(sc, probe.a, probe.L).total
-        bracket = sc.bracket
+        tau_exact = _phase_time_of(sc, probe.L).total
+        bracket = _opaque_bracket(sc.kin, probe.L)
         flagged = bracket <= _FLAG_FRACTION * 0.25 * sc.kin.sigma_sq
         reason = None
         tau_asym: Optional[float] = None

@@ -1,26 +1,28 @@
 """Closed-form transmission through the symmetric double barrier.
 
-The transmitted amplitude is
+The system is one barrier, written twice, with a free gap L between the
+copies (a Fabry-Perot composition: Ricco & Azbel, PRB 29, 1970 (1984);
+Buttiker, IBM J. Res. Dev. 32, 63 (1988)). With
 
-    A_T = exp(-2ika) / D,
-    D   = u + w cos(2kL) + i [v + w sin(2kL)]  =  D1 + i D2,
+    chi = atan((delta/2) tanh(qa)),   psi = kL - chi,
+    w   = (sigma^2/4) sinh^2(qa),
 
-with |D|^2 = 1 + 2w [1 + w + u cos(2kL) + v sin(2kL)], and the probability
-is 1/|D|^2. The modulus is evaluated from the second (product) form, which
-never squares the exponentially large D1, D2.
+one barrier transmits T1 = 1/(1+w), reflects R1 = w/(1+w), and the
+round-trip phase across the gap is psi + pi/2. The transmitted amplitude
+of the pair is
 
-Internally everything is scaled by exp(-2qa) so the opaque regime never
-overflows. On top of that, |D|^2 exp(-4qa) is computed as K + R_D where
+    A_T   = exp(-2ika) / D,
+    D     = exp(2i chi) (1 + 2w cos(psi) exp(i psi)),
+    |D|^2 = 1 + 4w(1+w) cos^2(psi),
 
-    K = (sigma^2/32) B,
-    B = sigma^2/4 + (1 - delta^2/4) cos(2kL) + delta sin(2kL)
+so the probability is 1/|D|^2, a sum of non-negative terms that never
+cancels, and the transmitted phase is kL - arg D. Resonances are the
+zeros of cos(psi). This is the same denominator as the textbook
+u + w cos(2kL) + i(v + w sin(2kL)), since u + iv = (1+w) exp(2i chi).
 
-is the bracket the opaque-limit probability 32 exp(-4qa)/(sigma^2 B)
-converges to, and R_D is the exact remainder, every term of which carries
-a factor exp(-2qa). The split is algebraically exact at all energies; its
-point is that in the opaque regime the remainder drops below one ulp of K
-and the leading bracket then cancels exactly in ratios like the
-phase-time, instead of leaving rounding noise of order 1e-16.
+Everything is kept scaled by e = exp(-2qa) (w~ = w e, |D|^2 e^2), so the
+opaque regime never overflows: at qa ~ 700 the probability underflows to
+zero while the phase-time stays exact.
 
 The per-energy records (ScaledDenominator, TransmissionResult) are
 immutable NamedTuples, built positionally: a frozen dataclass costs about
@@ -36,14 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import OpaqueBracketError
-from .kinematics import (
-    BarrierSystem,
-    Kinematics,
-    _exp,
-    _scaled_uvw,
-    hyperbolic_state,
-    kinematics,
-)
+from .kinematics import BarrierSystem, Kinematics, _exp, kinematics
 
 __all__ = [
     "DenominatorParts",
@@ -75,80 +70,82 @@ class TransmissionResult(NamedTuple):
 
 
 class ScaledDenominator(NamedTuple):
-    """exp(-2qa)-scaled denominator pieces shared with the phase-time module.
+    """One energy point of the Fabry-Perot form, scaled by e = exp(-2qa).
 
-    True values: D1 = d1 * e^s, D2 = d2 * e^s, |D|^2 = (k_lead + r_d) * e^2s
-    with s = log_scale = 2qa. k_lead is the opaque-limit term (sigma^2/32) B
-    and r_d the exact remainder, proportional to exp(-2qa). e_neg,
-    one_minus_e and w_scaled are the hyperbolic_state values of the same
-    name; the k-derivatives are not computed on this path.
+    True values: w = w_scaled / e, w' = w_k_scaled / e (d/dk, m) and
+    |D|^2 = mod_sq_scaled / e^2, with e = e_neg = exp(-log_scale) and
+    log_scale = 2qa. chi_k = d chi / dk (m) stays bounded at any opacity.
     """
 
     kin: Kinematics
-    log_scale: float    # 2qa
-    e_neg: float        # exp(-2qa)
-    one_minus_e: float  # 1 - exp(-2qa)
-    w_scaled: float     # w exp(-2qa)
-    cos2kl: float
-    sin2kl: float
-    bracket: float      # B
-    d1: float
-    d2: float
-    k_lead: float
-    r_d: float
-
-    @property
-    def mod_sq_scaled(self) -> float:
-        return self.k_lead + self.r_d
+    log_scale: float      # 2qa
+    e_neg: float          # exp(-2qa)
+    w_scaled: float       # w exp(-2qa)
+    w_k_scaled: float     # w' exp(-2qa), m
+    chi: float
+    chi_k: float          # m
+    cos_psi: float
+    sin_psi: float
+    mod_sq_scaled: float  # |D|^2 exp(-4qa)
 
     @property
     def log_mod_squared(self) -> float:
         return 2.0 * self.log_scale + math.log(self.mod_sq_scaled)
 
+    def width_bracket(self, L: float) -> float:
+        """G exp(-2qa) in m, with G = wL - (1+w) chi_k > 0.
+
+        At a resonance (cos psi = 0) D' = dD/dE has modulus 2mG/(hbar^2 k),
+        so the Breit-Wigner half-width is beta = hbar^2 k / (2mG) and the
+        phase-time is tau_r = (m/hbar k)(L + 2G); away from it
+        u'v - uv' = 2(1+w) G at L = 0.
+        """
+        return self.w_scaled * L - (self.e_neg + self.w_scaled) * self.chi_k
+
 
 def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
-    """Evaluate the scaled denominator pieces at energy E."""
+    """Evaluate the scaled Fabry-Perot record at energy E.
+
+    With d/dk at fixed a, U0, m (dq/dk = -k/q):
+
+        chi' = -(sigma^2 cosh(qa) sinh(qa) + delta k a) / (2q (1+w)),
+        w'   = -(sigma^2 / 2q) (delta sinh^2(qa) + k a cosh(qa) sinh(qa)).
+    """
     kin = kinematics(sys, E)
-    delta, s2 = kin.delta, kin.sigma_sq
-    two_qa = 2.0 * kin.q * sys.a
-    e, p, _, _, _, u_s, v_s, w_s = _scaled_uvw(delta, s2, two_qa)
-    two_kl = 2.0 * kin.k * sys.L
-    cos2 = math.cos(two_kl)
-    sin2 = math.sin(two_kl)
+    k, q, delta, s2 = kin.k, kin.q, kin.delta, kin.sigma_sq
+    two_qa = 2.0 * q * sys.a
+    e = math.exp(-two_qa)
+    p = -math.expm1(-two_qa)   # 1 - e, accurate for small qa
+    ka = k * sys.a
+    chsh = (1.0 + e) * p / 4.0  # cosh(qa) sinh(qa) e
+    w = s2 * p * p / 16.0
+    w_k = -(s2 / (2.0 * q)) * (0.25 * delta * p * p + ka * chsh)
+    chi = math.atan(0.5 * delta * p / (1.0 + e))
+    chi_k = -(s2 * chsh + delta * ka * e) / (2.0 * q * (e + w))
+    psi = k * sys.L - chi
+    c, s = math.cos(psi), math.sin(psi)
+    mod_sq = e * e + 4.0 * w * (e + w) * c * c
+    return ScaledDenominator(kin, two_qa, e, w, w_k, chi, chi_k, c, s, mod_sq)
 
-    bracket = 0.25 * s2 + (1.0 - 0.25 * delta * delta) * cos2 + delta * sin2
-    k_lead = (s2 / 32.0) * bracket
 
-    # Exact remainder of |D|^2 e^-4qa minus K; every term carries a factor e.
-    poly4 = 4.0 + e * (-6.0 + e * (4.0 - e))      # (1-p^4)/e
-    poly3 = 2.0 + e * e * (-2.0 + e)              # (1-p^3(1+e))/e
-    r_d = e * (
-        e
-        + (s2 / 8.0) * p * p
-        - (s2 * s2 / 128.0) * poly4
-        + cos2 * (-(s2 / 32.0) * e * (2.0 - e * e) + (s2 * delta * delta / 128.0) * poly4)
-        - sin2 * (s2 * delta / 32.0) * poly3
-    )
-
-    d1 = u_s + w_s * cos2
-    d2 = v_s + w_s * sin2
-    return ScaledDenominator(
-        kin, two_qa, e, p, w_s, cos2, sin2, bracket, d1, d2, k_lead, r_d
-    )
+def _scaled_z(sc: ScaledDenominator) -> complex:
+    """e (1 + 2w cos(psi) exp(i psi)) = D e exp(-2i chi)."""
+    two_wc = 2.0 * sc.w_scaled * sc.cos_psi
+    return complex(sc.e_neg + two_wc * sc.cos_psi, two_wc * sc.sin_psi)
 
 
 def denominator(sys: BarrierSystem, E: float) -> DenominatorParts:
-    """D1, D2 and |D|^2, the latter from the stabilized product form.
+    """D1, D2 and |D|^2, the latter from 1 + 4w(1+w) cos^2(psi).
 
     The plain unscaled fields overflow to inf once qa grows past ~177
     (mod_squared) or ~355 (D1, D2); use scaled_denominator for sweeps in
     that regime.
     """
     sc = scaled_denominator(sys, E)
-    scale = _exp(sc.log_scale)
+    d = cmath.exp(2j * sc.chi) * _scaled_z(sc) * _exp(sc.log_scale)
     return DenominatorParts(
-        D1=sc.d1 * scale,
-        D2=sc.d2 * scale,
+        D1=d.real,
+        D2=d.imag,
         mod_squared=_exp(sc.log_mod_squared),
     )
 
@@ -156,10 +153,9 @@ def denominator(sys: BarrierSystem, E: float) -> DenominatorParts:
 def amplitude(sys: BarrierSystem, E: float) -> TransmissionResult:
     """Transmitted amplitude exp(-2ika)/D and probability 1/|D|^2."""
     sc = scaled_denominator(sys, E)
-    k = sc.kin.k
-    # exp(-2ika) * conj(D) / |D|^2, folding one e^-2qa into the numerator.
-    num = complex(sc.d1, -sc.d2) * math.exp(-sc.log_scale) / sc.mod_sq_scaled
-    amp = cmath.exp(-2j * k * sys.a) * num
+    # exp(-2ika)/D = exp(-2i(ka + chi)) e conj(z)/|z|^2 with z = _scaled_z(sc).
+    num = _scaled_z(sc).conjugate() * (sc.e_neg / sc.mod_sq_scaled)
+    amp = cmath.exp(-2j * (sc.kin.k * sys.a + sc.chi)) * num
     return TransmissionResult(amplitude=amp, probability=math.exp(-sc.log_mod_squared))
 
 
@@ -173,24 +169,32 @@ def log_probability(sys: BarrierSystem, E: float) -> float:
 
 
 def transmitted_phase(sys: BarrierSystem, E: float) -> float:
-    """Principal argument of A_T exp(ik(2a+L)) = exp(ikL)/D.
+    """Principal argument of A_T exp(ik(2a+L)) = exp(ikL)/D, i.e. kL - arg D.
 
     The free-propagation reference over the full structure is folded in, so
     this is the phase whose energy derivative (times hbar) is the Wigner
     phase-time.
     """
     sc = scaled_denominator(sys, E)
+    z = _scaled_z(sc)
     kl = sc.kin.k * sys.L
-    return math.remainder(kl - math.atan2(sc.d2, sc.d1), math.tau)
+    return math.remainder(kl - 2.0 * sc.chi - math.atan2(z.imag, z.real), math.tau)
+
+
+def _opaque_bracket(kin: Kinematics, L: float) -> float:
+    """B = (sigma^2/2) cos^2(kL - atan(delta/2)), non-negative by construction."""
+    c = math.cos(kin.k * L - math.atan(0.5 * kin.delta))
+    return 0.5 * kin.sigma_sq * c * c
 
 
 def opaque_bracket(sys: BarrierSystem, E: float) -> float:
     """B = sigma^2/4 + (1 - delta^2/4) cos(2kL) + delta sin(2kL).
 
-    Vanishes exactly on the opaque-limit resonance locus; small values
-    flag proximity to a resonance.
+    The opaque limit of |D|^2 exp(-4qa) is (sigma^2/32) B. B vanishes
+    exactly on the opaque-limit resonance locus; small values flag
+    proximity to a resonance.
     """
-    return scaled_denominator(sys, E).bracket
+    return _opaque_bracket(kinematics(sys, E), sys.L)
 
 
 def probability_opaque(sys: BarrierSystem, E: float) -> float:
@@ -203,13 +207,10 @@ def probability_opaque(sys: BarrierSystem, E: float) -> float:
     (where the expansion has no meaning) and raises OpaqueBracketError.
     """
     kin = kinematics(sys, E)
-    state = hyperbolic_state(kin, sys.a)
-    cos2 = math.cos(2.0 * kin.k * sys.L)
-    sin2 = math.sin(2.0 * kin.k * sys.L)
-    delta, s2 = kin.delta, kin.sigma_sq
-    bracket = 0.25 * s2 + (1.0 - 0.25 * delta * delta) * cos2 + delta * sin2
+    s2 = kin.sigma_sq
+    bracket = _opaque_bracket(kin, sys.L)
     if bracket <= 1e-9 * (0.25 * s2):
         raise OpaqueBracketError(
             f"asymptotic bracket {bracket} collapsed at E={E} J: too close to a resonance"
         )
-    return 32.0 * math.exp(-2.0 * state.log_scale) / (s2 * bracket)
+    return 32.0 * math.exp(-4.0 * kin.q * sys.a) / (s2 * bracket)

@@ -173,3 +173,12 @@ def test_scaled_representation_is_consistent(neutron):
     )
     assert st_.v == pytest.approx(kin.delta * math.cosh(qa) * math.sinh(qa), rel=1e-12)
     assert st_.w == pytest.approx(0.25 * kin.sigma_sq * math.sinh(qa) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("qa", [5.0, 12.0, 18.0, 20.0])
+def test_e_neg_is_exp_of_minus_log_scale(neutron, qa):
+    # e = exp(-2qa) itself, not 1 - (1 - e), which keeps only absolute precision.
+    kin = kinematics(neutron, 0.3 * neutron.U0)
+    st_ = hyperbolic_state(kin, qa / kin.q)
+    exact = math.exp(-st_.log_scale)
+    assert abs(st_.e_neg - exact) <= 1e-15 * exact

@@ -120,7 +120,8 @@ def test_bad_window_raises(neutron):
 
 
 def test_unresolvable_narrow_resonance_fails_certification():
-    # qa ~ 16 at the root: beta/E_r ~ exp(-32), beyond double-precision reach.
+    # qa ~ 16 at the root: beta/E_r ~ 4e-14, and doubles cannot place the root
+    # within the ~3e-5 beta that certification to 1e-9 needs.
     sys = neutron_system()
     q_mid = kinematics(sys, 0.5 * sys.U0).q
     opaque = dataclasses.replace(sys, a=16.0 / q_mid)

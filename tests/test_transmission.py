@@ -3,12 +3,13 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import random
 
 import pytest
 
-from tunnelkit.constants import joule_from_nev
+from tunnelkit.constants import CODATA2018, joule_from_nev
 from tunnelkit.errors import DomainError, OpaqueBracketError
-from tunnelkit.kinematics import hyperbolic_state, kinematics
+from tunnelkit.kinematics import BarrierSystem, hyperbolic_state, kinematics
 from tunnelkit.phase_time import phase_time
 from tunnelkit.scatter_oracle import double_barrier_profile, solve
 from tunnelkit.transmission import (
@@ -211,8 +212,8 @@ def test_underflow_is_graceful_far_beyond_double_range(neutron):
         (kinematics, ("E", "k", "q", "delta", "sigma", "hbar", "m")),
         (
             scaled_denominator,
-            ("kin", "log_scale", "e_neg", "one_minus_e", "w_scaled", "cos2kl",
-             "sin2kl", "bracket", "d1", "d2", "k_lead", "r_d"),
+            ("kin", "log_scale", "e_neg", "w_scaled", "w_k_scaled", "chi", "chi_k",
+             "cos_psi", "sin_psi", "mod_sq_scaled"),
         ),
         (amplitude, ("amplitude", "probability")),
         (phase_time, ("total", "P_value", "mod_squared")),
@@ -225,3 +226,36 @@ def test_per_energy_records_are_immutable(neutron, evaluate, fields):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(record, name, 0.0)
+
+
+def test_fabry_perot_form_equals_uvw_form():
+    # D e = exp(2i chi)(e + 2w~ cos(psi) exp(i psi)) against the textbook
+    # u + w cos(2kL) + i(v + w sin(2kL)) from hyperbolic_state, both scaled
+    # by e = exp(-2qa), on the draws of acceptance criterion 10. The bound
+    # is relative to 1 + 2w, the size of the terms of the u/v/w sum.
+    rng = random.Random(193817)
+    worst_d, worst_mod = 0.0, 0.0
+    for _ in range(10_000):
+        u0 = joule_from_nev(10.0 ** rng.uniform(0.0, 4.0))
+        sys = BarrierSystem(
+            a=10.0 ** rng.uniform(0.0, 3.3) * 1e-10,
+            U0=u0,
+            L=rng.uniform(0.0, 2000.0) * 1e-10,
+            m=rng.uniform(0.1, 10.0) * CODATA2018.m_neutron,
+        )
+        sc = scaled_denominator(sys, rng.uniform(1e-3, 1.0 - 1e-3) * sys.U0)
+        st = hyperbolic_state(sc.kin, sys.a)
+        two_kl = 2.0 * sc.kin.k * sys.L
+        uvw = complex(
+            st.u_scaled + st.w_scaled * math.cos(two_kl),
+            st.v_scaled + st.w_scaled * math.sin(two_kl),
+        )
+        two_wc = 2.0 * sc.w_scaled * sc.cos_psi
+        fp = cmath.exp(2j * sc.chi) * complex(
+            sc.e_neg + two_wc * sc.cos_psi, two_wc * sc.sin_psi
+        )
+        size = sc.e_neg + 2.0 * sc.w_scaled
+        worst_d = max(worst_d, abs(fp - uvw) / size)
+        worst_mod = max(worst_mod, abs(sc.mod_sq_scaled - abs(uvw) ** 2) / size**2)
+    assert worst_d <= 1e-12
+    assert worst_mod <= 1e-12
