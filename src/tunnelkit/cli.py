@@ -12,8 +12,6 @@ Exit codes are frozen for CI use:
     0 success, 2 configuration/parse error, 3 domain error,
     4 acceptance-check violation (neutron --check),
     5 oracle-check threshold violation.
-
-TUNNELKIT_GRID_CELLS overrides the resonance scan grid (default 2000).
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from typing import Optional
 
@@ -34,8 +31,8 @@ from .constants import (
 )
 from .errors import DomainError, PhaseUnwrapError, TunnelkitError
 from .kinematics import BarrierSystem, kinematics
-from .phase_time import phase_time, phase_time_at_resonance, phase_time_numeric
-from .resonance import DEFAULT_GRID_CELLS, find_resonances, fit_effective_mass
+from .phase_time import _phase_time_of, phase_time, phase_time_at_resonance, phase_time_numeric
+from .resonance import find_resonances, fit_effective_mass
 from .scatter_oracle import double_barrier_profile, solve
 from .scenarios import (
     NEUTRON_BARRIER_HEIGHT_NEV,
@@ -44,7 +41,7 @@ from .scenarios import (
     hartman_sweep,
     run_neutron_scenario,
 )
-from .transmission import amplitude
+from .transmission import amplitude, scaled_denominator
 from . import __version__
 
 __all__ = ["main", "ConfigError"]
@@ -130,19 +127,6 @@ def _build_system(args, config: dict) -> BarrierSystem:
         raise ConfigError(f"invalid system parameters: {exc}") from exc
 
 
-def _grid_cells() -> int:
-    raw = os.environ.get("TUNNELKIT_GRID_CELLS")
-    if raw is None:
-        return DEFAULT_GRID_CELLS
-    try:
-        cells = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"TUNNELKIT_GRID_CELLS must be an integer, got {raw!r}") from exc
-    if cells < 1:
-        raise ConfigError(f"TUNNELKIT_GRID_CELLS must be >= 1, got {cells}")
-    return cells
-
-
 def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points: int):
     nev = 1.0 / CODATA2018.neV_per_J
     lo, hi = e_min_nev * nev, e_max_nev * nev
@@ -172,11 +156,12 @@ def cmd_transmission(args, config: dict) -> int:
 
     rows = []
     for E in _energy_grid(sys_, e_min, e_max, points):
+        sc = scaled_denominator(sys_, E)
         rows.append(
             (
                 E * CODATA2018.neV_per_J,
-                amplitude(sys_, E).probability,
-                phase_time(sys_, E).total,
+                math.exp(-sc.log_mod_squared),
+                _phase_time_of(sc, sys_.L).total,
             )
         )
     if fmt == "csv":
@@ -211,7 +196,7 @@ def cmd_resonances(args, config: dict) -> int:
         )
         return 0
 
-    found = find_resonances(sys_, e_min * nev, e_max * nev, grid_cells=_grid_cells())
+    found = find_resonances(sys_, e_min * nev, e_max * nev)
     doc = [
         {
             "E_r_neV": r.E_r * CODATA2018.neV_per_J,
@@ -249,7 +234,7 @@ def _load_constants(path: Optional[str]) -> PhysicalConstants:
 
 def cmd_neutron(args, config: dict) -> int:
     constants = _load_constants(args.constants)
-    report = run_neutron_scenario(constants, grid_cells=_grid_cells())
+    report = run_neutron_scenario(constants)
     doc = report.to_json_dict()
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     if not args.check:

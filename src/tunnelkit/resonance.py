@@ -7,7 +7,7 @@ cos(psi) = 0, i.e. where
     cos(kL) + (delta/2) tanh(qa) sin(kL) = cos(psi) / cos(chi) = 0.
 
 That residual is O(1) however opaque the barriers are. Every root located
-by the scan is certified against the independent full-transparency
+by the search is certified against the independent full-transparency
 condition |A_T(k_r)|^2 = 1 before it is accepted; the certification is
 what makes the tanh form self-validating.
 
@@ -21,14 +21,16 @@ transmission into the Lorentzian beta^2/((E-E_r)^2+beta^2) and adds
 hbar beta/((E-E_r)^2+beta^2) of time delay on top of the free flight over
 the gap.
 
-Scan resolution: the default 2000-cell grid resolves the neutron-filter
-regime comfortably, but the width beta shrinks roughly like exp(-2qa) both
-for wider gaps and for more opaque barriers, so narrow resonances need a
-finer grid. The closed form itself stays exact at a root; what runs out
-is the placing of the root: certification within 1e-9 needs the root
-within ~3e-5 beta, which doubles cannot resolve once beta/E_r is near
-1e-12 (qa ~ 14.5 at E ~ U0/2). find_resonances then raises rather than
-return an uncertified root.
+Root search: chi decreases with k at every energy (chi' < 0), so psi is
+strictly increasing and each resonance is the single crossing of one
+branch psi = (n + 1/2) pi. find_resonances counts the branches between
+the window ends and bisects each one, so its cost grows with the number
+of roots, not with a grid, and no root is skipped however densely the
+roots crowd (wide gaps at low energy). The closed form itself stays
+exact at a root; what runs out is the placing of the root: certification
+within 1e-9 needs the root within ~3e-5 beta, which doubles cannot
+resolve once beta/E_r is near 1e-12 (qa ~ 14.5 at E ~ U0/2).
+find_resonances then raises rather than return an uncertified root.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .transmission import ScaledDenominator, scaled_denominator
 __all__ = [
     "Resonance",
     "ResonanceExpansion",
-    "DEFAULT_GRID_CELLS",
     "CERTIFICATION_TOL",
     "resonance_residual",
     "find_resonances",
@@ -60,7 +61,6 @@ __all__ = [
     "bw_phase_time",
 ]
 
-DEFAULT_GRID_CELLS = 2000
 CERTIFICATION_TOL = 1e-9
 
 
@@ -90,8 +90,8 @@ def resonance_residual(sys: BarrierSystem, E: float) -> float:
     ) * math.sin(kin.k * sys.L)
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> float:
-    """Bisection down to float resolution of the bracket."""
+def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Bisection down to adjacent floats; returns the end where |f| is smaller."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -102,53 +102,59 @@ def _bisect(f, lo: float, hi: float, flo: float) -> float:
         if (fmid < 0.0) == (flo < 0.0):
             lo, flo = mid, fmid
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, fhi = mid, fmid
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
-def find_resonances(
-    sys: BarrierSystem,
-    E_min: float,
-    E_max: float,
-    grid_cells: int = DEFAULT_GRID_CELLS,
-) -> list[Resonance]:
+def _psi(sys: BarrierSystem, E: float) -> float:
+    """psi = kL - chi, increasing in E, rounded exactly as in scaled_denominator."""
+    kin = kinematics(sys, E)
+    two_qa = 2.0 * kin.q * sys.a
+    chi = math.atan(0.5 * kin.delta * -math.expm1(-two_qa) / (1.0 + math.exp(-two_qa)))
+    return kin.k * sys.L - chi
+
+
+def _branch_offset(sys: BarrierSystem, E: float, n: int) -> float:
+    """psi(E) - (n + 1/2) pi, or within a radian of it its sine (-1)^(n+1) cos(psi),
+    which changes sign where the certified cos(psi) does, not at a rounded target."""
+    psi = _psi(sys, E)
+    offset = psi - (n + 0.5) * math.pi
+    return offset if abs(offset) > 1.0 else (-1.0) ** (n + 1) * math.cos(psi)
+
+
+def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Resonance]:
     """All certified resonances in (E_min, E_max), ordered by energy.
 
-    Sign changes of the residual on a uniform grid are polished by
-    bisection, then each candidate must pass |A_T|^2 = 1 within 1e-9;
-    a failed certification raises ResonanceValidationError (grid too
-    coarse, or the resonance is too narrow for double precision).
+    psi(E) is strictly increasing, so the window holds one root for each
+    n with (n + 1/2) pi between psi(E_min) and psi(E_max). Each root is
+    bisected on psi(E) - (n + 1/2) pi over [previous root, E_max], then
+    must pass |A_T|^2 = 1 within 1e-9; a failed certification raises
+    ResonanceValidationError (the resonance is too narrow for double
+    precision to place).
     """
     if not (0.0 < E_min < E_max < sys.U0):
         raise DomainError(
             f"window must satisfy 0 < E_min < E_max < U0, got ({E_min}, {E_max})"
         )
-    if grid_cells < 1:
-        raise DomainError(f"grid_cells must be >= 1, got {grid_cells}")
-
-    f = lambda E: resonance_residual(sys, E)
+    psi_lo, psi_hi = _psi(sys, E_min), _psi(sys, E_max)
     results: list[Resonance] = []
-    e_prev = E_min
-    f_prev = f(e_prev)
-    for i in range(1, grid_cells + 1):
-        e_cur = E_min + (E_max - E_min) * i / grid_cells
-        f_cur = f(e_cur)
-        if f_prev == 0.0 or (f_prev < 0.0) != (f_cur < 0.0):
-            root = e_prev if f_prev == 0.0 else _bisect(f, e_prev, e_cur, f_prev)
-            sc = scaled_denominator(sys, root)
-            p = math.exp(-sc.log_mod_squared)
-            if abs(p - 1.0) > CERTIFICATION_TOL:
-                raise ResonanceValidationError(
-                    f"candidate at E={root} J has |A_T|^2={p}, off unity by "
-                    f"{abs(p - 1.0):.3e} (> {CERTIFICATION_TOL}); refine the grid "
-                    "or accept that the resonance is unresolvable in double precision"
-                )
-            results.append(
-                Resonance(
-                    E_r=root, k_r=sc.kin.k, beta=_width(sc, sys.L), index=len(results)
-                )
+    lo = E_min
+    for n in range(math.floor(psi_lo / math.pi - 0.5) + 1, math.ceil(psi_hi / math.pi - 0.5)):
+        target = (n + 0.5) * math.pi
+        offset = lambda E: _branch_offset(sys, E, n)
+        root = _bisect(offset, lo, E_max, psi_lo - target, psi_hi - target)
+        sc = scaled_denominator(sys, root)
+        p = math.exp(-sc.log_mod_squared)
+        if abs(p - 1.0) > CERTIFICATION_TOL:
+            raise ResonanceValidationError(
+                f"candidate at E={root} J has |A_T|^2={p}, off unity by "
+                f"{abs(p - 1.0):.3e} (> {CERTIFICATION_TOL}); the resonance is "
+                "too narrow to place in double precision"
             )
-        e_prev, f_prev = e_cur, f_cur
+        results.append(
+            Resonance(E_r=root, k_r=sc.kin.k, beta=_width(sc, sys.L), index=len(results))
+        )
+        lo, psi_lo = root, target
     return results
 
 
@@ -186,7 +192,7 @@ def fit_effective_mass(
         raise MassFitError(
             f"residual does not change sign over mass bracket {m_bracket}"
         )
-    return _bisect(g, m_lo, m_hi, g_lo)
+    return _bisect(g, m_lo, m_hi, g_lo, g_hi)
 
 
 def _width(sc: ScaledDenominator, L: float) -> float:

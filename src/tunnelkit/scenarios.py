@@ -135,13 +135,11 @@ def neutron_filter_system(
     )
 
 
-def run_neutron_scenario(
-    constants: PhysicalConstants = CODATA2018, grid_cells: int = 2000
-) -> NeutronReport:
+def run_neutron_scenario(constants: PhysicalConstants = CODATA2018) -> NeutronReport:
     """Free-mass resonance, effective-mass fit, width, tau_r and window average."""
     free = neutron_filter_system(1.0, constants)
     window = (1e-3 * free.U0, 0.999 * free.U0)
-    free_res = find_resonances(free, *window, grid_cells=grid_cells)
+    free_res = find_resonances(free, *window)
     if len(free_res) != 1:
         raise DomainError(
             f"expected exactly one free-mass resonance, found {len(free_res)}"
@@ -157,7 +155,7 @@ def run_neutron_scenario(
         (0.5 * constants.m_neutron, 1.5 * constants.m_neutron),
     )
     fitted = dataclasses.replace(free, m=m_fit)
-    (res,) = find_resonances(fitted, *window, grid_cells=grid_cells)
+    (res,) = find_resonances(fitted, *window)
 
     tau_r = phase_time_at_resonance(fitted, res)
     tau_avg = average_phase_time(fitted, res.E_r - res.beta, res.E_r + res.beta)

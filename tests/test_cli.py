@@ -82,16 +82,14 @@ def test_resonances_fit_mass(capsys):
     assert doc["fitted_mass_ratio"] == pytest.approx(0.926883, abs=1e-4)
 
 
-def test_grid_cells_env_override(capsys, monkeypatch):
-    # A 3-cell scan over the full window still brackets the single root.
-    monkeypatch.setenv("TUNNELKIT_GRID_CELLS", "3")
-    code, out, _ = run_cli(capsys, "resonances")
-    assert code == 0
-    assert len(json.loads(out)) == 1
+def test_resonances_prints_its_single_root_without_a_grid(capsys, monkeypatch):
+    # The search follows the psi branches; the retired TUNNELKIT_GRID_CELLS
+    # is ignored, whatever it holds.
     monkeypatch.setenv("TUNNELKIT_GRID_CELLS", "zero")
-    code, _, err = run_cli(capsys, "resonances")
-    assert code == 2
-    assert "TUNNELKIT_GRID_CELLS" in err
+    code, out, err = run_cli(capsys, "resonances")
+    assert (code, err) == (0, "")
+    (root,) = json.loads(out)
+    assert root["E_r_neV"] == pytest.approx(123.0435540004, rel=1e-9)
 
 
 def test_neutron_report_schema(capsys):

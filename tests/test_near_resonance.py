@@ -82,7 +82,7 @@ def test_wide_gap_roots_all_certify():
     # L = 20000 A between the filter's barriers: 65 roots, the narrowest
     # with beta/E_r ~ 6e-6, each certified to |A_T|^2 = 1 within 1e-9.
     sys = dataclasses.replace(neutron_system(), L=20000e-10)
-    roots = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0, grid_cells=20000)
+    roots = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
     assert len(roots) == 65
     assert all(abs(probability(sys, r.E_r) - 1.0) <= 1e-9 for r in roots)
 

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunnelkit.constants import CODATA2018, joule_from_nev, nev_from_joule
-from tunnelkit.errors import DomainError, MassFitError, ResonanceValidationError
+from tunnelkit.errors import (
+    DomainError,
+    MassFitError,
+    ResonanceValidationError,
+    TunnelkitError,
+)
 from tunnelkit.kinematics import BarrierSystem, hyperbolic_state, kinematics
 from tunnelkit.resonance import (
     bw_phase_time,
@@ -117,6 +125,57 @@ def test_bad_window_raises(neutron):
         find_resonances(neutron, joule_from_nev(100.0), 1.5 * neutron.U0)
     with pytest.raises(DomainError):
         find_resonances(neutron, joule_from_nev(100.0), joule_from_nev(50.0))
+
+
+def _branch_count(sys, E_lo, E_hi):
+    """Half-integer crossings of psi = kL - atan((delta/2) tanh qa) over the window."""
+
+    def branch(E):
+        kin = kinematics(sys, E)
+        psi = kin.k * sys.L - math.atan(0.5 * kin.delta * math.tanh(kin.q * sys.a))
+        return math.floor(psi / math.pi - 0.5)
+
+    return branch(E_hi) - branch(E_lo)
+
+
+def _assert_all_roots_found(sys):
+    roots = find_resonances(sys, *full_window(sys))
+    assert len(roots) == _branch_count(sys, *full_window(sys))
+    assert all(abs(probability(sys, r.E_r) - 1.0) <= 1e-9 for r in roots)
+    assert all(r0.E_r < r1.E_r for r0, r1 in zip(roots, roots[1:]))
+    assert [r.index for r in roots] == list(range(len(roots)))
+    return roots
+
+
+def test_very_wide_gap_misses_no_root():
+    # L ~ 1e5 A between thin barriers: at low energy the roots crowd closer
+    # than a 2000-cell grid's cells, which dropped 8 of these 307.
+    sys = BarrierSystem.from_lab_units(
+        27.100055358029334, 192.16913348640068, 99366.9441221283, 1.0815599662123923
+    )
+    assert len(_assert_all_roots_found(sys)) == 307
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    qa=st.floats(1.0, 14.0),
+    gap_angstrom=st.floats(0.0, 1e5),
+    u0_nev=st.floats(150.0, 300.0),
+    mass_ratio=st.floats(0.9, 1.1),
+)
+def test_every_branch_has_one_certified_root(qa, gap_angstrom, u0_nev, mass_ratio):
+    # qa = sqrt(2 m U0) a / hbar, the opacity as E -> 0 (the window's most opaque end).
+    # Up to qa = 8 every branch crossing is found and certified; past ~9 at
+    # wide gaps some roots are too narrow to place in double precision, and
+    # then only a TunnelkitError may come out.
+    m, U0 = mass_ratio * M0, joule_from_nev(u0_nev)
+    a_angstrom = qa * CODATA2018.hbar / math.sqrt(2.0 * m * U0) * 1e10
+    sys = BarrierSystem.from_lab_units(a_angstrom, u0_nev, gap_angstrom, mass_ratio)
+    if qa <= 8.0:
+        _assert_all_roots_found(sys)
+    else:
+        with contextlib.suppress(TunnelkitError):
+            _assert_all_roots_found(sys)
 
 
 def test_unresolvable_narrow_resonance_fails_certification():
