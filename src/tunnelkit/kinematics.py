@@ -78,14 +78,15 @@ class BarrierSystem:
     m: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise DomainError(f"barrier width a must be > 0, got {self.a}")
-        if not self.U0 > 0.0:
-            raise DomainError(f"barrier height U0 must be > 0, got {self.U0}")
-        if not self.L >= 0.0:
-            raise DomainError(f"gap L must be >= 0, got {self.L}")
-        if not self.m > 0.0:
-            raise DomainError(f"mass m must be > 0, got {self.m}")
+        # One chained comparison per field rejects inf and NaN as well.
+        if not 0.0 < self.a < math.inf:
+            raise DomainError(f"barrier width a must be finite and > 0, got {self.a}")
+        if not 0.0 < self.U0 < math.inf:
+            raise DomainError(f"barrier height U0 must be finite and > 0, got {self.U0}")
+        if not 0.0 <= self.L < math.inf:
+            raise DomainError(f"gap L must be finite and >= 0, got {self.L}")
+        if not 0.0 < self.m < math.inf:
+            raise DomainError(f"mass m must be finite and > 0, got {self.m}")
 
     @classmethod
     def from_lab_units(

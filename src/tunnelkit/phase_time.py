@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
+from .constants import CODATA2018
 from .errors import (
     DomainError,
     OpaqueBracketError,
@@ -108,8 +109,7 @@ def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> 
         raise PhaseUnwrapError(
             f"phase step {dphi:.3f} rad exceeds pi/2 across dE={dE} J; halve the step"
         )
-    hbar = kinematics(sys, E).hbar
-    return hbar * dphi / (2.0 * dE)
+    return CODATA2018.hbar * dphi / (2.0 * dE)
 
 
 def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:

@@ -12,12 +12,17 @@ written t * exp(ikx) with the same origin, so for an empty profile t = 1
 and for the double barrier t is directly comparable to the closed-form
 amplitude.
 
-Scaling. An evanescent segment of thickness d multiplies coefficients by
-exp(+-qd). The growing exponential is factored out as a scalar held in log
-space (matrix entries stay O(1)), which keeps qa ~ 700 overflow-free. The
-chain of interface matrices telescopes to determinant one for equal outer
-media; the transmitted amplitude uses that identity rather than the
-numerically cancellation-prone computed determinant.
+Scaling. The chain is kept in five locals (m11, m12, m21, m22, log_scale)
+and one TransferMatrix is built at the end. Each interface applies
+[[p, n], [n, p]] with p, n = (1 +- rho)/2; each segment applies a diagonal
+scale. An evanescent segment of thickness d multiplies coefficients by
+exp(+-qd); the growing exponential goes into log_scale, so the entries stay
+O(1) and qa ~ 700 is overflow-free. Growth from mismatched interfaces
+(|rho| >> 1) is caught by the one rescaling rule, `_normalized`: after every
+step, and in `TransferMatrix.__matmul__`, the entries are divided by the
+largest |entry| when it leaves (1e-50, 1e50). The chain telescopes to
+determinant one for equal outer media; the transmitted amplitude uses that
+identity rather than the cancellation-prone computed determinant.
 """
 
 from __future__ import annotations
@@ -48,11 +53,13 @@ class PotentialProfile:
     m: float
 
     def __post_init__(self) -> None:
-        if not self.m > 0.0:
-            raise DomainError(f"mass must be > 0, got {self.m}")
-        for width, _height in self.segments:
-            if not width > 0.0:
-                raise DomainError(f"segment widths must be > 0, got {width}")
+        if not 0.0 < self.m < math.inf:
+            raise DomainError(f"mass must be finite and > 0, got {self.m}")
+        for width, height in self.segments:
+            if not 0.0 < width < math.inf:
+                raise DomainError(f"segment widths must be finite and > 0, got {width}")
+            if not math.isfinite(height):
+                raise DomainError(f"segment heights must be finite, got {height}")
 
     @property
     def total_width(self) -> float:
@@ -84,31 +91,30 @@ class TransferMatrix:
     log_scale: float
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        out = TransferMatrix(
-            m11=self.m11 * other.m11 + self.m12 * other.m21,
-            m12=self.m11 * other.m12 + self.m12 * other.m22,
-            m21=self.m21 * other.m11 + self.m22 * other.m21,
-            m22=self.m21 * other.m12 + self.m22 * other.m22,
-            log_scale=self.log_scale + other.log_scale,
-        )
-        return out._normalized()
-
-    def _normalized(self) -> "TransferMatrix":
-        mag = max(abs(self.m11), abs(self.m12), abs(self.m21), abs(self.m22))
-        if mag == 0.0 or 1e-50 < mag < 1e50:
-            return self
-        inv = 1.0 / mag
         return TransferMatrix(
-            self.m11 * inv,
-            self.m12 * inv,
-            self.m21 * inv,
-            self.m22 * inv,
-            self.log_scale + math.log(mag),
+            *_normalized(
+                self.m11 * other.m11 + self.m12 * other.m21,
+                self.m11 * other.m12 + self.m12 * other.m22,
+                self.m21 * other.m11 + self.m22 * other.m21,
+                self.m21 * other.m12 + self.m22 * other.m22,
+                self.log_scale + other.log_scale,
+            )
         )
 
-    @staticmethod
-    def identity() -> "TransferMatrix":
-        return TransferMatrix(1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0)
+
+def _normalized(
+    m11: complex, m12: complex, m21: complex, m22: complex, log_scale: float
+) -> tuple[complex, complex, complex, complex, float]:
+    """The one rescaling rule: pull the largest |entry| into exp(log_scale).
+
+    Applied only when that entry leaves (1e-50, 1e50), so entries that are
+    O(1) pass through with their bits untouched.
+    """
+    mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
+    if mag == 0.0 or 1e-50 < mag < 1e50:
+        return m11, m12, m21, m22, log_scale
+    inv = 1.0 / mag
+    return m11 * inv, m12 * inv, m21 * inv, m22 * inv, log_scale + math.log(mag)
 
 
 def double_barrier_profile(sys) -> PotentialProfile:
@@ -120,14 +126,6 @@ def double_barrier_profile(sys) -> PotentialProfile:
         return PotentialProfile(segments=((2.0 * sys.a, sys.U0),), m=sys.m)
     return PotentialProfile(
         segments=((sys.a, sys.U0), (sys.L, 0.0), (sys.a, sys.U0)), m=sys.m
-    )
-
-
-def _interface(kappa_from: complex, kappa_to: complex) -> TransferMatrix:
-    # psi, psi' continuity: coefficient map with rho = kappa_from / kappa_to.
-    rho = kappa_from / kappa_to
-    return TransferMatrix(
-        0.5 * (1.0 + rho), 0.5 * (1.0 - rho), 0.5 * (1.0 - rho), 0.5 * (1.0 + rho), 0.0
     )
 
 
@@ -143,15 +141,6 @@ def _segment_kappa(E: float, height: float, m: float, hbar: float) -> complex:
     return complex(0.0, math.sqrt(2.0 * m * (height - E)) / hbar)
 
 
-def _propagation(kappa: complex, d: float) -> TransferMatrix:
-    if kappa.imag == 0.0:
-        phase = cmath.exp(1j * kappa.real * d)
-        return TransferMatrix(phase, 0j, 0j, 1.0 / phase, 0.0)
-    # Evanescent: diag(e^-qd, e^+qd) = e^qd * diag(e^-2qd, 1), scalar in logs.
-    q = kappa.imag
-    return TransferMatrix(complex(math.exp(-2.0 * q * d)), 0j, 0j, 1.0 + 0j, q * d)
-
-
 def transfer_matrix(
     profile: PotentialProfile, E: float, constants: PhysicalConstants = CODATA2018
 ) -> TransferMatrix:
@@ -161,17 +150,43 @@ def transfer_matrix(
     compose by plain multiplication (the inner outer-medium interfaces of
     adjacent profiles cancel exactly).
     """
-    if not E > 0.0:
-        raise DomainError(f"energy must be > 0, got {E} J")
+    if not 0.0 < E < math.inf:
+        raise DomainError(f"energy must be finite and > 0, got {E} J")
     hbar = constants.hbar
-    k_out = _segment_kappa(E, 0.0, profile.m, hbar)
-    total = TransferMatrix.identity()
+    m = profile.m
+    k_out = _segment_kappa(E, 0.0, m, hbar)
+    m11, m12, m21, m22, log_scale = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0
     kappa_prev = k_out
     for width, height in profile.segments:
-        kappa = _segment_kappa(E, height, profile.m, hbar)
-        total = _propagation(kappa, width) @ (_interface(kappa_prev, kappa) @ total)
+        kappa = _segment_kappa(E, height, m, hbar)
+        # Interface: [[p, n], [n, p]] with rho = kappa_prev / kappa.
+        rho = kappa_prev / kappa
+        p, n = 0.5 * (1.0 + rho), 0.5 * (1.0 - rho)
+        m11, m12, m21, m22, log_scale = _normalized(
+            p * m11 + n * m21, p * m12 + n * m22,
+            n * m11 + p * m21, n * m12 + p * m22, log_scale,
+        )
+        # Propagation: diag(e^{ikd}, e^{-ikd}); evanescent diag(e^{-qd}, e^{qd})
+        # is written e^{qd} diag(e^{-2qd}, 1) with e^{qd} kept in log_scale.
+        if kappa.imag == 0.0:
+            phase = cmath.exp(1j * kappa.real * width)
+            inv_phase = 1.0 / phase
+            m11, m12 = phase * m11, phase * m12
+            m21, m22 = inv_phase * m21, inv_phase * m22
+        else:
+            q = kappa.imag
+            decay = math.exp(-2.0 * q * width)
+            m11, m12, log_scale = decay * m11, decay * m12, log_scale + q * width
+        m11, m12, m21, m22, log_scale = _normalized(m11, m12, m21, m22, log_scale)
         kappa_prev = kappa
-    return _interface(kappa_prev, k_out) @ total
+    rho = kappa_prev / k_out
+    p, n = 0.5 * (1.0 + rho), 0.5 * (1.0 - rho)
+    return TransferMatrix(
+        *_normalized(
+            p * m11 + n * m21, p * m12 + n * m22,
+            n * m11 + p * m21, n * m12 + p * m22, log_scale,
+        )
+    )
 
 
 def solve(

@@ -37,6 +37,15 @@ def test_transmission_grid_bound_above_barrier_is_domain_error(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("flag", ["--a", "--l", "--u0", "--mass-ratio"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_transmission_non_finite_system_is_config_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, "transmission", flag, value, "--points", "3")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_transmission_json_is_byte_stable(capsys):
     args = ("transmission", "--emin", "50", "--emax", "200", "--points", "11",
             "--format", "json")

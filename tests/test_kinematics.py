@@ -41,6 +41,16 @@ def test_barrier_system_validation():
     BarrierSystem(a=1e-8, U0=1e-26, L=0.0, m=1e-27)
 
 
+@pytest.mark.parametrize("field", ["a", "U0", "L", "m"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_barrier_system_rejects_non_finite(field, value):
+    # inf used to give amplitude nan+nanj (a, U0, m) or a bare ValueError (L)
+    fields = dict(a=1e-8, U0=1e-26, L=0.0, m=1e-27)
+    fields[field] = value
+    with pytest.raises(DomainError, match="finite"):
+        BarrierSystem(**fields)
+
+
 def test_energy_domain_errors(neutron):
     with pytest.raises(DomainError):
         kinematics(neutron, 0.0)

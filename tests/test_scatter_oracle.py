@@ -16,6 +16,7 @@ from tunnelkit.scatter_oracle import (
     solve,
     transfer_matrix,
 )
+from tunnelkit.transmission import amplitude
 
 from conftest import neutron_system
 
@@ -103,14 +104,39 @@ def test_energy_must_be_positive(neutron):
         solve(double_barrier_profile(neutron), 0.0)
 
 
+@pytest.mark.parametrize("E", [math.inf, math.nan])
+def test_energy_must_be_finite(neutron, E):
+    # E = inf used to raise DegenerateMatchingError against the outer medium
+    with pytest.raises(DomainError):
+        solve(double_barrier_profile(neutron), E)
+
+
 def test_profile_rejects_zero_width():
     with pytest.raises(DomainError):
         PotentialProfile(((0.0, 1e-26),), M0)
 
 
+@pytest.mark.parametrize(
+    "segments, mass",
+    [
+        (((1e-8, math.nan),), M0),
+        (((1e-8, math.inf),), M0),
+        (((math.inf, 1e-26),), M0),
+        (((math.nan, 1e-26),), M0),
+        (((1e-8, 1e-26),), math.inf),
+        (((1e-8, 1e-26),), math.nan),
+    ],
+    ids=["nan-height", "inf-height", "inf-width", "nan-width", "inf-mass", "nan-mass"],
+)
+def test_profile_rejects_non_finite(segments, mass):
+    # each of these used to reach solve() and return t = nan+nanj
+    with pytest.raises(DomainError, match="finite"):
+        PotentialProfile(segments, mass)
+
+
 def _matrices_close(a: TransferMatrix, b: TransferMatrix, rel: float) -> bool:
-    # Compare after aligning scales; entries are O(1) by construction.
-    shift = math.exp(a.log_scale - b.log_scale)
+    # Compare after aligning scales: a * e^{a.log_scale} vs b * e^{b.log_scale}.
+    shift = math.exp(b.log_scale - a.log_scale)
     for name in ("m11", "m12", "m21", "m22"):
         lhs = getattr(a, name)
         rhs = getattr(b, name) * shift
@@ -130,6 +156,69 @@ def test_composition_associativity(neutron):
         @ transfer_matrix(barrier, E)
     )
     assert _matrices_close(whole, composed, rel=1e-12)
+
+
+def _evanescent_q(E: float, height: float) -> float:
+    return math.sqrt(2 * M0 * (height - E)) / HBAR
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.43, 0.9])
+@pytest.mark.parametrize("qa", [40.0, 120.0, 170.0])
+def test_deep_barriers_match_closed_form(neutron, frac, qa):
+    import dataclasses
+
+    E = frac * neutron.U0
+    sys = dataclasses.replace(neutron, a=qa / _evanescent_q(E, neutron.U0))
+    t = solve(double_barrier_profile(sys), E).t
+    assert t == pytest.approx(amplitude(sys, E).amplitude, rel=1e-12, abs=0.0)
+
+
+def test_composition_associativity_deep_barriers(neutron):
+    E = joule_from_nev(100.0)
+    barrier = PotentialProfile(((120.0 / _evanescent_q(E, neutron.U0), neutron.U0),), M0)
+    spacer = PotentialProfile(((neutron.L, 0.0),), M0)
+    whole = transfer_matrix(
+        PotentialProfile(barrier.segments + spacer.segments + barrier.segments, M0), E
+    )
+    composed = (
+        transfer_matrix(barrier, E)
+        @ transfer_matrix(spacer, E)
+        @ transfer_matrix(barrier, E)
+    )
+    assert whole.log_scale == pytest.approx(240.0, rel=1e-14)
+    assert _matrices_close(whole, composed, rel=1e-12)
+
+
+def test_unitarity_four_deep_barriers(neutron):
+    E = 0.43 * neutron.U0
+    a = 120.0 / _evanescent_q(E, neutron.U0)
+    segments = ((a, neutron.U0), (neutron.L, 0.0)) * 3 + ((a, neutron.U0),)
+    sol = solve(PotentialProfile(segments, M0), E)
+    assert sol.transmission + sol.reflection == pytest.approx(1.0, abs=1e-10)
+
+
+def _mismatched_layer(E: float) -> PotentialProfile:
+    # A qd = 1 layer 1e-10 relative above E: |rho| ~ 1e5 at its interfaces, so
+    # the matrix grows ~1e4 per layer with no exponential for log_scale to hold.
+    height = E * (1.0 + 1e-10)
+    return PotentialProfile(((1.0 / _evanescent_q(E, height), height), (100e-10, 0.0)), M0)
+
+
+def test_rescaling_fires_and_keeps_unitarity_and_associativity():
+    E = joule_from_nev(100.0)
+    layer = _mismatched_layer(E)
+    n = 100  # ~1e400 unscaled: past overflow unless the chain rescales mid-way
+    whole = transfer_matrix(PotentialProfile(layer.segments * n, M0), E)
+    # Without rescaling log_scale would be the evanescent sum n * qd = 100.
+    assert whole.log_scale > n + 700.0
+    composed = transfer_matrix(layer, E)
+    for _ in range(n - 1):
+        composed = composed @ transfer_matrix(layer, E)
+    assert composed.log_scale > n + 700.0
+    assert _matrices_close(whole, composed, rel=1e-12)
+    sol = solve(PotentialProfile(layer.segments * n, M0), E)
+    assert sol.transmission == 0.0  # below the double-precision floor
+    assert sol.transmission + sol.reflection == pytest.approx(1.0, abs=1e-10)
 
 
 def test_unitarity_on_neutron_grid(neutron):
