@@ -18,7 +18,6 @@ from .errors import (
     MassFitError,
     OpaqueBracketError,
     PhaseUnwrapError,
-    QuadratureError,
     ResonanceValidationError,
     StepError,
     TunnelkitError,
@@ -32,7 +31,6 @@ from .kinematics import (
 )
 from .phase_time import (
     PhaseTimeBreakdown,
-    adaptive_simpson,
     average_phase_time,
     hartman_limit,
     phase_time,
@@ -90,7 +88,6 @@ __all__ = [
     "DomainError",
     "StepError",
     "PhaseUnwrapError",
-    "QuadratureError",
     "OpaqueBracketError",
     "DegenerateResonanceError",
     "ResonanceValidationError",
@@ -118,7 +115,6 @@ __all__ = [
     "phase_time_at_resonance",
     "phase_time_opaque",
     "average_phase_time",
-    "adaptive_simpson",
     "hartman_limit",
     # resonance
     "Resonance",

@@ -11,7 +11,6 @@ __all__ = [
     "DomainError",
     "StepError",
     "PhaseUnwrapError",
-    "QuadratureError",
     "OpaqueBracketError",
     "DegenerateResonanceError",
     "ResonanceValidationError",
@@ -36,17 +35,6 @@ class PhaseUnwrapError(TunnelkitError):
     """Phase step exceeds pi/2; the differentiation step must be halved."""
 
 
-class QuadratureError(TunnelkitError):
-    """Adaptive quadrature hit its depth cap before converging.
-
-    Carries the best partial estimate so callers can still inspect it.
-    """
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
-
-
 class OpaqueBracketError(TunnelkitError):
     """Opaque-barrier asymptotic bracket is non-positive.
 
@@ -62,8 +50,8 @@ class DegenerateResonanceError(TunnelkitError):
 class ResonanceValidationError(TunnelkitError):
     """A candidate resonance failed the full-transparency certification.
 
-    Usually means the scan grid is too coarse or the resonance is too
-    narrow to resolve in double precision.
+    Usually means the resonance is too narrow to place in double
+    precision.
     """
 
 

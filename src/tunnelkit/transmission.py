@@ -134,6 +134,12 @@ def _scaled_z(sc: ScaledDenominator) -> complex:
     return complex(sc.e_neg + two_wc * sc.cos_psi, two_wc * sc.sin_psi)
 
 
+def _arg_z(sc: ScaledDenominator) -> float:
+    """arg z in (-pi/2, pi/2): Re z >= e > 0, so it is continuous in E."""
+    z = _scaled_z(sc)
+    return math.atan2(z.imag, z.real)
+
+
 def denominator(sys: BarrierSystem, E: float) -> DenominatorParts:
     """D1, D2 and |D|^2, the latter from 1 + 4w(1+w) cos^2(psi).
 
@@ -176,9 +182,8 @@ def transmitted_phase(sys: BarrierSystem, E: float) -> float:
     phase-time.
     """
     sc = scaled_denominator(sys, E)
-    z = _scaled_z(sc)
     kl = sc.kin.k * sys.L
-    return math.remainder(kl - 2.0 * sc.chi - math.atan2(z.imag, z.real), math.tau)
+    return math.remainder(kl - 2.0 * sc.chi - _arg_z(sc), math.tau)
 
 
 def _opaque_bracket(kin: Kinematics, L: float) -> float:

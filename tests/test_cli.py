@@ -141,7 +141,7 @@ def test_neutron_check_fixtures_match_reference():
     assert rows["tau_r"][0] == pytest.approx(reference["tau_r"], rel=1e-10)
     assert rows["tau_avg"][0] == pytest.approx(reference["tau_avg"], rel=1e-10)
     assert rows["tau_r"][1] == 1e-9
-    assert rows["tau_avg"][1] == 1e-3
+    assert rows["tau_avg"][1] == 1e-9
 
 
 def test_neutron_corrupted_constants_file(capsys, tmp_path):
@@ -276,6 +276,52 @@ def test_config_file_names_offending_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "transmission", "--config", str(cfg))
     assert code == 2
     assert "width" in err
+
+
+@pytest.mark.parametrize("command", ["transmission", "oracle-check"])
+@pytest.mark.parametrize(
+    "points",
+    ["NaN", "Infinity", "2.5", "0", "1" + "0" * 400, "1" + "0" * 5000],
+    ids=["nan", "inf", "fraction", "zero", "past-float-range", "past-int-digit-limit"],
+)
+def test_config_points_must_be_a_positive_integer(capsys, tmp_path, command, points):
+    section = command.replace("-", "_")
+    cfg = tmp_path / "points.json"
+    cfg.write_text(f'{{"{section}": {{"points": {points}}}}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "points" in err
+
+
+@pytest.mark.parametrize("flag", ["--amp-tol", "--tau-tol", "--emin"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_oracle_check_number_flags_must_be_finite(capsys, flag, value):
+    code, out, err = run_cli(capsys, "oracle-check", "--points", "3", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "finite" in err
+
+
+@pytest.mark.parametrize("field", ["amplitude_tolerance", "phase_time_tolerance"])
+def test_oracle_check_tolerance_fields_must_be_finite(capsys, tmp_path, field):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(
+        f'{{"oracle_check": {{"points": 3, "{field}": NaN}}}}', encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "oracle-check", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
+def test_config_file_not_utf8_is_config_error(capsys, tmp_path):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"transmission": {"format": "cs\xe9"}}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "transmission", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
 
 
 def test_unknown_command_is_usage_error(capsys):

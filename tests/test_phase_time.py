@@ -4,19 +4,18 @@ import dataclasses
 import math
 
 import pytest
+from mpmath import mp
 
 from tunnelkit.constants import CODATA2018, joule_from_nev
 from tunnelkit.errors import (
     DomainError,
     OpaqueBracketError,
     PhaseUnwrapError,
-    QuadratureError,
     ResonanceValidationError,
     StepError,
 )
 from tunnelkit.kinematics import BarrierSystem, kinematics
 from tunnelkit.phase_time import (
-    adaptive_simpson,
     average_phase_time,
     hartman_limit,
     phase_time,
@@ -27,6 +26,7 @@ from tunnelkit.phase_time import (
 from tunnelkit.resonance import Resonance, find_resonances, fit_effective_mass
 
 from conftest import neutron_system
+from neutron_reference import DoubleBarrier
 
 M0 = CODATA2018.m_neutron
 
@@ -221,35 +221,19 @@ def test_opaque_bracket_can_reject(neutron):
     assert hit
 
 
-def test_adaptive_simpson_constant_is_exact():
-    assert adaptive_simpson(lambda x: 2.5, 0.0, 3.0) == pytest.approx(7.5, rel=1e-15)
-
-
-def test_adaptive_simpson_smooth_reference():
-    val = adaptive_simpson(math.sin, 0.0, math.pi, rel_tol=1e-9)
-    assert val == pytest.approx(2.0, rel=1e-9)
-
-
-def test_adaptive_simpson_depth_cap_carries_partial():
-    wiggle = lambda x: math.sin(1000.0 * x) ** 2
-    with pytest.raises(QuadratureError) as err:
-        adaptive_simpson(wiggle, 0.0, 1.0, rel_tol=1e-12, max_depth=3)
-    assert math.isfinite(err.value.partial)
-
-
 def test_average_over_resonance_window():
     sys, res = fitted_neutron()
     lo, hi = res.E_r - res.beta, res.E_r + res.beta
     avg = average_phase_time(sys, lo, hi)
-    # frozen composite-Simpson (n=20000) oracle of the same integral
-    assert avg == pytest.approx(2.235520144108e-7, rel=2e-3)
+    # frozen mpmath reference (tests/neutron_reference.py) of the same mean
+    assert avg == pytest.approx(2.235520144108e-7, rel=1e-9)
     n = 512
     h = (hi - lo) / n
     acc = phase_time(sys, lo).total + phase_time(sys, hi).total
     for i in range(1, n):
         acc += phase_time(sys, lo + i * h).total * (4 if i % 2 else 2)
     oracle = acc * h / 3.0 / (hi - lo)
-    assert avg == pytest.approx(oracle, rel=1e-3)
+    assert avg == pytest.approx(oracle, rel=1e-9)
 
 
 def test_average_is_between_extremes():
@@ -273,6 +257,46 @@ def test_average_near_free_flight_for_thin_barriers(neutron):
     lo, hi = E0 * (1 - 1e-9), E0 * (1 + 1e-9)
     assert average_phase_time(sys, lo, hi) == pytest.approx(
         free_flight(sys, E0), rel=1e-8
+    )
+
+
+# Narrowest root of U0 = 230 neV, L = 3000 A at unit mass, and windows
+# [E_r (1 - 0.37 s), E_r (1 + 0.63 s)]: at a = 500 A (beta/E_r ~ 1e-6)
+# the window is thousands of widths wide, so a quadrature that starts
+# from a few samples can step over the whole resonance.
+NARROW_WINDOWS = ((500.0, 0.3), (500.0, 0.1), (300.0, 0.03))
+
+
+def _narrow_window(a_angstrom: float, s: float):
+    sys = BarrierSystem.from_lab_units(a_angstrom, 230.0, 3000.0, 1.0)
+    roots = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
+    res = min(roots, key=lambda r: r.beta / r.E_r)
+    return sys, res, res.E_r * (1.0 - 0.37 * s), res.E_r * (1.0 + 0.63 * s)
+
+
+@pytest.fixture(scope="module")
+def narrow_references():
+    """mpmath mean of tau over each window, split at E_r, E_r +- beta, E_r +- 20 beta."""
+    refs = {}
+    with mp.workdps(20):
+        for window in NARROW_WINDOWS:
+            sys, res, lo, hi = _narrow_window(*window)
+            ref = DoubleBarrier.from_si(sys.a, sys.U0, sys.L, sys.m)
+            e_lo, e_hi = ref.nev(lo), ref.nev(hi)
+            e_r, beta = ref.nev(res.E_r), ref.nev(res.beta)
+            splits = [e_r + f * beta for f in (-20, -1, 0, 1, 20)]
+            nodes = [e_lo] + [e for e in splits if e_lo < e < e_hi] + [e_hi]
+            refs[window] = float(mp.quad(ref.tau, nodes) / (e_hi - e_lo))
+    return refs
+
+
+@pytest.mark.parametrize(
+    "window", NARROW_WINDOWS, ids=[f"a{a:g}-s{s:g}" for a, s in NARROW_WINDOWS]
+)
+def test_average_over_window_far_wider_than_resonance(narrow_references, window):
+    sys, _, lo, hi = _narrow_window(*window)
+    assert average_phase_time(sys, lo, hi) == pytest.approx(
+        narrow_references[window], rel=1e-9
     )
 
 

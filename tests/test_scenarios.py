@@ -40,10 +40,10 @@ def test_report_width_order_of_magnitude(report):
 
 def test_report_times_regression_values(report):
     # Both pins are the independent mpmath reference (neutron_reference):
-    # tau_r, which this implementation meets to ~13 digits, and the exact
-    # window mean, which adaptive Simpson meets to its 1e-3 tolerance.
+    # tau_r and the window mean, both of which this implementation meets
+    # to ~13 digits (the mean is the exact phase difference over the window).
     assert report.tau_r == pytest.approx(2.8240682137e-7, rel=1e-6)
-    assert report.tau_avg == pytest.approx(2.2355201441e-7, rel=2e-3)
+    assert report.tau_avg == pytest.approx(2.2355201441e-7, rel=1e-9)
 
 
 def test_report_average_lies_inside_window_range(report):
