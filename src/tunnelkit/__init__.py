@@ -66,10 +66,8 @@ from .scenarios import (
     run_neutron_scenario,
 )
 from .transmission import (
-    DenominatorParts,
     TransmissionResult,
     amplitude,
-    denominator,
     log_probability,
     probability,
     probability_opaque,
@@ -100,9 +98,7 @@ __all__ = [
     "kinematics",
     "hyperbolic_state",
     # transmission
-    "DenominatorParts",
     "TransmissionResult",
-    "denominator",
     "amplitude",
     "probability",
     "log_probability",

@@ -115,10 +115,15 @@ def _points(section: dict, default: int, flag: Optional[int]) -> int:
     return int(value)
 
 
-def _build_system(args, config: dict) -> BarrierSystem:
-    section = config.get("system", {})
+def _section(config: dict, name: str) -> dict:
+    section = config.get(name, {})
     if not isinstance(section, dict):
-        raise ConfigError("field 'system' must be a JSON object")
+        raise ConfigError(f"field {name!r} must be a JSON object")
+    return section
+
+
+def _build_system(args, config: dict) -> BarrierSystem:
+    section = _section(config, "system")
     unknown = set(section) - _SYSTEM_FIELDS
     if unknown:
         raise ConfigError(f"unknown system field(s): {sorted(unknown)}")
@@ -162,7 +167,7 @@ def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points:
 
 def cmd_transmission(args, config: dict) -> int:
     sys_ = _build_system(args, config)
-    section = config.get("transmission", {})
+    section = _section(config, "transmission")
     e_min = _number(section, "e_min_neV", 1.0, args.emin)
     e_max = _number(section, "e_max_neV", 229.0, args.emax)
     points = _points(section, 201, args.points)
@@ -192,7 +197,7 @@ def cmd_transmission(args, config: dict) -> int:
 
 def cmd_resonances(args, config: dict) -> int:
     sys_ = _build_system(args, config)
-    section = config.get("resonances", {})
+    section = _section(config, "resonances")
     nev = 1.0 / CODATA2018.neV_per_J
     e_min = _number(section, "e_min_neV", 1.0, args.emin)
     e_max = _number(
@@ -274,20 +279,24 @@ def cmd_neutron(args, config: dict) -> int:
 
 def cmd_sweep(args, config: dict) -> int:
     sys_ = _build_system(args, config)
-    section = config.get("sweep", {})
+    section = _section(config, "sweep")
     nev = 1.0 / CODATA2018.neV_per_J
     axis = args.axis or section.get("axis")
     if axis not in ("barrier_width", "gap_length"):
         raise ConfigError(f"axis must be barrier_width or gap_length, got {axis!r}")
     energy_nev = _number(section, "energy_neV", 80.5, args.energy)
-    values_ang = args.values if args.values else section.get("values_angstrom")
-    if not values_ang:
-        raise ConfigError("sweep needs --values (angstrom)")
+    values_ang = args.values or section.get("values_angstrom")
+    if not (isinstance(values_ang, list) and values_ang):
+        raise ConfigError(
+            f"sweep needs --values (angstrom), a non-empty list, got {values_ang!r}"
+        )
     fmt = args.format or section.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
-    values = [metre_from_angstrom(v) for v in values_ang]
+    values = [
+        metre_from_angstrom(_number(section, "values_angstrom", 0.0, v)) for v in values_ang
+    ]
     table = hartman_sweep(sys_, energy_nev * nev, axis, values)
     if fmt == "json":
         sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
@@ -315,7 +324,7 @@ def _numeric_tau_with_backoff(sys_: BarrierSystem, E: float) -> float:
 
 def cmd_oracle_check(args, config: dict) -> int:
     sys_ = _build_system(args, config)
-    section = config.get("oracle_check", {})
+    section = _section(config, "oracle_check")
     u0_nev = sys_.U0 * CODATA2018.neV_per_J
     e_min = _number(section, "e_min_neV", 0.05 * u0_nev, args.emin)
     e_max = _number(section, "e_max_neV", 0.95 * u0_nev, args.emax)

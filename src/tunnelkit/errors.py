@@ -36,10 +36,12 @@ class PhaseUnwrapError(TunnelkitError):
 
 
 class OpaqueBracketError(TunnelkitError):
-    """Opaque-barrier asymptotic bracket is non-positive.
+    """An opaque-barrier asymptotic form does not apply at this energy.
 
-    Signals proximity to a resonance, where the asymptotic expansion of
-    the transmission or of the phase-time is meaningless.
+    Raised inside the resonance band, where the opaque expansions of the
+    transmission and of the phase-time are meaningless, and by the
+    phase-time expansion where its gap term is not finite (vanishing
+    barrier widths).
     """
 
 

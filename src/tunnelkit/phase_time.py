@@ -134,36 +134,50 @@ def hartman_limit(sys: BarrierSystem, E: float) -> float:
     return 2.0 * kin.m / (kin.hbar * kin.k * kin.q)
 
 
+# cos^2(psi) at or below this is a resonance collision: the opaque bracket
+# (sigma^2/2) cos^2(psi) is below 5 % of its mean sigma^2/4 there, and the
+# expansion parameter 1/(w cos^2 psi) grows without bound as cos(psi) -> 0.
+_OPAQUE_COS_SQ_MIN = 0.025
+
+
 def phase_time_opaque(sys: BarrierSystem, E: float) -> float:
-    """Two-term opaque asymptotic
+    """Opaque-barrier phase-time: the exact tau expanded in 1/(w cos^2 psi),
 
-        tau ~ 2m/(hbar k q)
-              + (4m / hbar k) L exp(-2qa)
-                / [sigma^2/4 + (1 + delta^2/4) cos(2kL) + delta sin(2kL)],
+        tau ~ (m / hbar k) [-chi' + (L - chi' - (w'/w) sin(psi) cos(psi))
+                                    / (2 w cos^2(psi))].
 
-    whose second term carries the entire (exponentially suppressed)
-    dependence on the gap. The bracket differs from the strict expansion
-    of the exact formula (which has 1 - delta^2/4 in the cosine term and
-    further L-independent pieces of the same exp(-2qa) order); at any
-    opacity where the expansion is meaningful the difference is far below
-    the certified tolerances, and the exact formula remains the authority.
-    A non-positive bracket signals a resonance and raises.
+    The first term is the plateau, -(m/hbar k) chi' -> 2m/(hbar k q); the
+    second, of order exp(-2qa), carries the whole dependence on the gap and
+    the rest of the dependence on the width (the generalized Hartman
+    effect). In the opaque limit w'/w -> -2(delta + ka)/q, so the second
+    term goes negative where sin(psi) cos(psi) is negative enough, as the
+    exact delay does. The relative error is of order exp(-4qa): about
+    3e-10 at qa = 6.6.
+
+    Raises OpaqueBracketError inside the resonance band
+    cos^2(psi) <= 0.025, where the expansion has no meaning, and where
+    the second term is not finite (a below about 1e-163 m, where
+    w exp(-2qa) underflows).
     """
-    kin = kinematics(sys, E)
-    delta, s2 = kin.delta, kin.sigma_sq
-    cos2 = math.cos(2.0 * kin.k * sys.L)
-    sin2 = math.sin(2.0 * kin.k * sys.L)
-    bracket = 0.25 * s2 + (1.0 + 0.25 * delta * delta) * cos2 + delta * sin2
-    if bracket <= 0.0:
+    return _phase_time_opaque_of(scaled_denominator(sys, E), sys.L)
+
+
+def _phase_time_opaque_of(sc: ScaledDenominator, L: float) -> float:
+    """phase_time_opaque from an already evaluated denominator of gap L."""
+    c, w = sc.cos_psi, sc.w_scaled
+    c2 = c * c
+    den = 2.0 * w * c2
+    kin = sc.kin
+    tau = math.inf
+    if den > 0.0:
+        gap = sc.e_neg * (L - sc.chi_k - (sc.w_k_scaled / w) * sc.sin_psi * c) / den
+        tau = (kin.m / (kin.hbar * kin.k)) * (gap - sc.chi_k)
+    if not (c2 > _OPAQUE_COS_SQ_MIN and math.isfinite(tau)):
         raise OpaqueBracketError(
-            f"phase-time asymptotic bracket {bracket} <= 0 at E={E} J: "
-            "too close to a resonance"
+            f"opaque expansion undefined at E={kin.E} J: cos^2(psi) = {c2:.3e} "
+            f"(resonance band <= {_OPAQUE_COS_SQ_MIN}), w exp(-2qa) = {w:.3e}"
         )
-    leading = 2.0 * kin.m / (kin.hbar * kin.k * kin.q)
-    correction = (
-        (4.0 * kin.m / (kin.hbar * kin.k)) * sys.L * math.exp(-2.0 * kin.q * sys.a) / bracket
-    )
-    return leading + correction
+    return tau
 
 
 def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:

@@ -13,9 +13,9 @@ as annotations for human comparison; the model does not target them, since
 beam spread and detector resolution are outside its scope.
 
 Sweep rows flag resonance collisions instead of failing: a row is flagged
-when the opaque-limit bracket falls below 5% of its mean sigma^2/4 (the
-bracket vanishes exactly on the resonance locus) or when the asymptotic
-evaluators reject the point outright.
+when the opaque phase-time expansion rejects it, inside the resonance band
+cos^2(psi) <= 0.025 (5% of the mean sigma^2/4 of the opaque bracket, which
+vanishes exactly on the resonance locus).
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from .errors import DomainError, OpaqueBracketError
 from .kinematics import BarrierSystem
 from .phase_time import (
     _phase_time_of,
+    _phase_time_opaque_of,
     average_phase_time,
     phase_time_at_resonance,
-    phase_time_opaque,
 )
 from .resonance import find_resonances, fit_effective_mass
-from .transmission import _opaque_bracket, scaled_denominator
+from .transmission import scaled_denominator
 
 __all__ = [
     "NEUTRON_BARRIER_WIDTH_ANGSTROM",
@@ -64,9 +64,6 @@ MEASURED_ANNOTATIONS = {
     "measured_off_resonance_delay_s": 1.9e-8,
     "measured_half_width_neV": 4.0,
 }
-
-_FLAG_FRACTION = 0.05
-
 
 @dataclass(frozen=True)
 class NeutronReport:
@@ -187,7 +184,7 @@ def hartman_sweep(
     Values must be positive and ascending. Rows whose geometry puts E on
     top of a resonance are flagged (asymptotic column dropped), not fatal.
     Each row evaluates the denominator once: probability, exact tau and
-    the bracket B all come from that one scaled_denominator.
+    asymptotic tau all come from that one scaled_denominator.
     """
     if not values:
         raise DomainError("sweep needs at least one value")
@@ -202,22 +199,11 @@ def hartman_sweep(
         sc = scaled_denominator(probe, E)  # raises DomainError unless 0 < E < U0
         prob = math.exp(-sc.log_mod_squared)
         tau_exact = _phase_time_of(sc, probe.L).total
-        bracket = _opaque_bracket(sc.kin, probe.L)
-        flagged = bracket <= _FLAG_FRACTION * 0.25 * sc.kin.sigma_sq
-        reason = None
-        tau_asym: Optional[float] = None
-        if flagged:
-            reason = (
-                f"asymptotic bracket {bracket:.3e} below "
-                f"{_FLAG_FRACTION:.0%} of sigma^2/4: resonance collision"
-            )
-        else:
-            # B is above 5% of its mean here, so probability_opaque's 1e-9
-            # test would pass; only phase_time_opaque's own bracket can reject.
-            try:
-                tau_asym = phase_time_opaque(probe, E)
-            except OpaqueBracketError as exc:
-                flagged, reason = True, str(exc)
+        try:
+            tau_asym: Optional[float] = _phase_time_opaque_of(sc, probe.L)
+            flagged, reason = False, None
+        except OpaqueBracketError as exc:
+            tau_asym, flagged, reason = None, True, str(exc)
         rows.append(
             SweepRow(
                 sweep_value=value,

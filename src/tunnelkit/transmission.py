@@ -34,18 +34,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import OpaqueBracketError
-from .kinematics import BarrierSystem, Kinematics, _exp, kinematics
+from .kinematics import BarrierSystem, Kinematics, kinematics
 
 __all__ = [
-    "DenominatorParts",
     "TransmissionResult",
     "ScaledDenominator",
     "scaled_denominator",
-    "denominator",
     "amplitude",
     "probability",
     "log_probability",
@@ -53,15 +50,6 @@ __all__ = [
     "probability_opaque",
     "opaque_bracket",
 ]
-
-
-@dataclass(frozen=True)
-class DenominatorParts:
-    """Real/imaginary parts of D and its squared modulus (unscaled view)."""
-
-    D1: float
-    D2: float
-    mod_squared: float
 
 
 class TransmissionResult(NamedTuple):
@@ -138,22 +126,6 @@ def _arg_z(sc: ScaledDenominator) -> float:
     """arg z in (-pi/2, pi/2): Re z >= e > 0, so it is continuous in E."""
     z = _scaled_z(sc)
     return math.atan2(z.imag, z.real)
-
-
-def denominator(sys: BarrierSystem, E: float) -> DenominatorParts:
-    """D1, D2 and |D|^2, the latter from 1 + 4w(1+w) cos^2(psi).
-
-    The plain unscaled fields overflow to inf once qa grows past ~177
-    (mod_squared) or ~355 (D1, D2); use scaled_denominator for sweeps in
-    that regime.
-    """
-    sc = scaled_denominator(sys, E)
-    d = cmath.exp(2j * sc.chi) * _scaled_z(sc) * _exp(sc.log_scale)
-    return DenominatorParts(
-        D1=d.real,
-        D2=d.imag,
-        mod_squared=_exp(sc.log_mod_squared),
-    )
 
 
 def amplitude(sys: BarrierSystem, E: float) -> TransmissionResult:

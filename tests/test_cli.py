@@ -220,6 +220,30 @@ def test_sweep_requires_axis_and_values(capsys):
     assert "values" in err
 
 
+@pytest.mark.parametrize(
+    "values", ['["x", 3]', "5", "[NaN, 3]", "[]"], ids=["string", "scalar", "nan", "empty"]
+)
+def test_sweep_config_values_must_be_a_list_of_numbers(capsys, tmp_path, values):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(
+        f'{{"sweep": {{"axis": "gap_length", "values_angstrom": {values}}}}}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "values" in err
+
+
+def test_sweep_values_flag_must_be_finite(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--axis", "gap_length", "--values", "100", "nan"
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_oracle_check_passes_by_default(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "--points", "60")
     assert code == 0
@@ -276,6 +300,25 @@ def test_config_file_names_offending_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "transmission", "--config", str(cfg))
     assert code == 2
     assert "width" in err
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("transmission", "system"),
+        ("transmission", "transmission"),
+        ("resonances", "resonances"),
+        ("sweep", "sweep"),
+        ("oracle-check", "oracle_check"),
+    ],
+)
+def test_config_section_must_be_an_object(capsys, tmp_path, command, section):
+    cfg = tmp_path / "section.json"
+    cfg.write_text(json.dumps({section: []}), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and section in err
 
 
 @pytest.mark.parametrize("command", ["transmission", "oracle-check"])

@@ -24,6 +24,7 @@ from tunnelkit.phase_time import (
     phase_time_opaque,
 )
 from tunnelkit.resonance import Resonance, find_resonances, fit_effective_mass
+from tunnelkit.transmission import scaled_denominator
 
 from conftest import neutron_system
 from neutron_reference import DoubleBarrier
@@ -156,7 +157,9 @@ def test_opaque_limit_at_qa_25():
 
 def test_opaque_formula_tracks_exact_at_qa_15():
     sys, E = hartman_system(15.0)
-    assert phase_time_opaque(sys, E) == pytest.approx(phase_time(sys, E).total, rel=1e-2)
+    exact = phase_time(sys, E).total
+    # abs=0: approx's default 1e-12 absolute tolerance is 1e-4 of this tau (s)
+    assert phase_time_opaque(sys, E) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 def test_opaque_gap_dependence_bound_at_qa_20():
@@ -181,44 +184,56 @@ def test_hartman_plateau_bound():
         assert abs(t2 - t1) / t1 <= 10.0 * math.exp(-2.0 * qa)
 
 
-def test_opaque_delay_is_positive_bounded_periodic():
-    # qa = 12 keeps the exp(-2qa) delay term representable next to the plateau.
-    sys, E = hartman_system(12.0)
-    kin = kinematics(sys, E)
-    t_inf = hartman_limit(sys, E)
-    period = math.pi / kin.k
-    count = 0
-    for i in range(40):
-        L = (0.2 + 0.05 * i) / kin.q
-        probe = dataclasses.replace(sys, L=L)
-        try:
-            tau = phase_time_opaque(probe, E)
-        except OpaqueBracketError:
+def opaque_grid():
+    """Neutron-filter height, gaps 195 and 267 A, widths 600-1500 A and 40
+    energies each: the 232 (system, E, record) points with qa >= 6."""
+    for L in (195.0, 267.0):
+        for a in (600.0, 800.0, 1000.0, 1200.0, 1500.0):
+            sys = BarrierSystem.from_lab_units(a, 230.0, L)
+            for i in range(40):
+                E = (i + 0.5) / 40 * sys.U0
+                sc = scaled_denominator(sys, E)
+                if sc.kin.q * sys.a >= 6.0:
+                    yield sys, E, sc
+
+
+def test_opaque_expansion_meets_exact_on_opaque_grid():
+    # The exact delay tau - 2m/(hbar k q) is negative at 60 of these points,
+    # all outside the resonance band; the expansion must follow its sign.
+    points = list(opaque_grid())
+    assert len(points) == 232
+    worst, negative, in_band = 0.0, 0, 0
+    for sys, E, sc in points:
+        if sc.cos_psi**2 <= 0.025:
+            in_band += 1
+            with pytest.raises(OpaqueBracketError):
+                phase_time_opaque(sys, E)
             continue
-        delay = tau - t_inf
-        assert delay > 0.0
-        assert delay < 1e-6 * t_inf
-        count += 1
-        # the bracket has period pi/k in L, so delay/L is periodic
-        shifted = dataclasses.replace(sys, L=L + period)
-        d2 = phase_time_opaque(shifted, E) - t_inf
-        assert d2 / (L + period) == pytest.approx(delay / L, rel=1e-3)
-    assert count > 30
+        exact = phase_time(sys, E).total
+        tau = phase_time_opaque(sys, E)
+        worst = max(worst, abs(tau / exact - 1.0))
+        plateau = hartman_limit(sys, E)
+        if exact < plateau:
+            negative += 1
+            assert tau < plateau
+    assert worst <= 1e-7
+    assert negative == 60
+    assert in_band == 21
 
 
-def test_opaque_bracket_can_reject(neutron):
-    # The phase-time bracket does go negative close to the resonance locus.
-    sys, E = hartman_system(20.0)
-    kin = kinematics(sys, E)
-    hit = False
-    for i in range(400):
-        probe = dataclasses.replace(sys, L=(0.2 + 0.02 * i) / kin.q)
-        try:
-            phase_time_opaque(probe, E)
-        except OpaqueBracketError:
-            hit = True
-            break
-    assert hit
+def test_opaque_error_falls_as_exp_minus_4qa():
+    base = BarrierSystem.from_lab_units(600.0, 230.0, 267.0)
+    E = 0.3 * base.U0
+    q = kinematics(base, E).q
+    ladder = (4.0, 5.3, 6.6, 7.9)
+    errs = []
+    for qa in ladder:
+        sys = dataclasses.replace(base, a=qa / q)
+        errs.append(abs(phase_time_opaque(sys, E) / phase_time(sys, E).total - 1.0))
+    assert errs[0] < 1e-4
+    for i in range(len(ladder) - 1):
+        rate = math.log(errs[i] / errs[i + 1]) / (ladder[i + 1] - ladder[i])
+        assert 3.5 <= rate <= 4.5
 
 
 def test_average_over_resonance_window():

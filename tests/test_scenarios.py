@@ -7,7 +7,7 @@ import math
 import pytest
 
 from tunnelkit.constants import CODATA2018
-from tunnelkit.errors import DomainError
+from tunnelkit.errors import DomainError, OpaqueBracketError
 from tunnelkit.kinematics import kinematics
 from tunnelkit.phase_time import phase_time, phase_time_opaque
 from tunnelkit.scenarios import (
@@ -16,7 +16,7 @@ from tunnelkit.scenarios import (
     neutron_filter_system,
     run_neutron_scenario,
 )
-from tunnelkit.transmission import probability
+from tunnelkit.transmission import probability, scaled_denominator
 
 from conftest import neutron_system
 
@@ -173,6 +173,46 @@ def test_sweep_rows_equal_the_per_point_functions(neutron, axis):
         flags.add(row.flagged)
     if axis == "gap_length":
         assert flags == {True, False}
+
+
+@pytest.mark.parametrize(
+    "axis, lo, hi, fraction",
+    # at 0.6 U0 the widening barriers move psi through the band
+    [("barrier_width", 50.0, 1500.0, 0.6), ("gap_length", 50.0, 5000.0, 0.35)],
+)
+def test_sweep_flags_exactly_the_resonance_band(neutron, axis, lo, hi, fraction):
+    # One test decides a row: flagged <=> cos^2(psi) <= 0.025 <=> the opaque
+    # expansion raises, and only flagged rows drop the asymptotic column.
+    E = fraction * neutron.U0
+    values = [(lo + (hi - lo) * i / 199) * 1e-10 for i in range(200)]
+    table = hartman_sweep(neutron, E, axis, values)
+    field = "a" if axis == "barrier_width" else "L"
+    for value, row in zip(values, table.rows):
+        probe = dataclasses.replace(neutron, **{field: value})
+        in_band = scaled_denominator(probe, E).cos_psi ** 2 <= 0.025
+        try:
+            phase_time_opaque(probe, E)
+            raised = False
+        except OpaqueBracketError:
+            raised = True
+        assert row.flagged == in_band == raised
+        assert (row.tau_asymptotic is None) == row.flagged
+        assert (row.flag_reason is None) == (not row.flagged)
+    assert {r.flagged for r in table.rows} == {True, False}
+
+
+def test_sweep_flags_vanishing_width_row(neutron):
+    # w exp(-2qa) underflows at a = 1e-200 m: flagged, not a ZeroDivisionError
+    # and not an unflagged asymptotic value.
+    E = 0.35 * neutron.U0
+    thin, thick = hartman_sweep(neutron, E, "barrier_width", [1e-200, 1e-8]).rows
+    assert thin.flagged and thin.tau_asymptotic is None and thin.flag_reason
+    assert not thick.flagged and thick.tau_asymptotic is not None
+    probe = dataclasses.replace(neutron, a=1e-200)
+    assert scaled_denominator(probe, E).w_scaled == 0.0
+    assert thin.tau_exact == phase_time(probe, E).total
+    with pytest.raises(OpaqueBracketError):
+        phase_time_opaque(probe, E)
 
 
 def test_sweep_serialization_units(neutron):
