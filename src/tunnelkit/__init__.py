@@ -40,13 +40,11 @@ from .phase_time import (
 )
 from .resonance import (
     Resonance,
-    ResonanceExpansion,
     breit_wigner_width,
     bw_phase_time,
     bw_probability,
     find_resonances,
     fit_effective_mass,
-    resonance_expansion,
     resonance_residual,
 )
 from .scatter_oracle import (
@@ -114,12 +112,10 @@ __all__ = [
     "hartman_limit",
     # resonance
     "Resonance",
-    "ResonanceExpansion",
     "resonance_residual",
     "find_resonances",
     "fit_effective_mass",
     "breit_wigner_width",
-    "resonance_expansion",
     "bw_probability",
     "bw_phase_time",
     # transfer-matrix reference engine

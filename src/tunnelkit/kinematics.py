@@ -20,9 +20,10 @@ denominator D = u + w cos(2kL) + i [v + w sin(2kL)] is built out of
 
 together with their derivatives with respect to k. The per-energy path
 (transmission, phase_time, resonance) uses the equivalent single-barrier
-form D = exp(2i chi)(1 + 2w cos(psi) exp(i psi)) instead; hyperbolic_state
-stays as the independent route that resonance_expansion and the tests
-check it against.
+form D = exp(2i chi)(1 + 2w cos(psi) exp(i psi)) instead, and no module
+of the package calls hyperbolic_state. It stays as the tests' u/v/w
+reference, the independent route the single-barrier form is checked
+against, and as a name perfbench's tracer looks up.
 
 Overflow guard: cosh/sinh overflow double precision near qa ~ 355, and the
 quadratic combinations above already overflow near qa ~ 177. All values
@@ -122,9 +123,7 @@ class Kinematics(NamedTuple):
         return self.sigma * self.sigma
 
 
-def kinematics(
-    sys: BarrierSystem, E: float, constants: PhysicalConstants = CODATA2018
-) -> Kinematics:
+def kinematics(sys: BarrierSystem, E: float) -> Kinematics:
     """Evaluate k, q, delta, sigma at energy E, requiring 0 < E < U0.
 
     Energies at or above the barrier top are out of scope (q would turn
@@ -136,7 +135,7 @@ def kinematics(
         raise DomainError(
             f"energy must be below the barrier top U0={sys.U0} J, got {E} J"
         )
-    hbar = constants.hbar
+    hbar = CODATA2018.hbar
     k = math.sqrt(2.0 * sys.m * E) / hbar
     q = math.sqrt(2.0 * sys.m * (sys.U0 - E)) / hbar
     delta = (q * q - k * k) / (k * q)

@@ -42,7 +42,7 @@ from .errors import (
     StepError,
 )
 from .kinematics import BarrierSystem, _exp, kinematics
-from .resonance import Resonance
+from .resonance import CERTIFICATION_TOL, Resonance
 from .transmission import ScaledDenominator, _arg_z, scaled_denominator, transmitted_phase
 
 __all__ = [
@@ -115,11 +115,12 @@ def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
 
     G = wL - (1+w) chi' is the record's width bracket. Only meaningful at a
     genuine transparency point, so the resonance is re-certified (|A_T|^2
-    within 1e-6 of unity) before evaluating.
+    within CERTIFICATION_TOL of unity, as find_resonances requires) before
+    evaluating.
     """
     sc = scaled_denominator(sys, res.E_r)
     p_trans = math.exp(-sc.log_mod_squared)
-    if abs(p_trans - 1.0) > 1e-6:
+    if abs(p_trans - 1.0) > CERTIFICATION_TOL:
         raise ResonanceValidationError(
             f"|A_T|^2 = {p_trans} at claimed resonance E_r={res.E_r} J"
         )

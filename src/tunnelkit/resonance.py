@@ -19,7 +19,8 @@ D = C_r (E - E_r + i beta) with |D(E_r)| = 1, so beta = 1/|D'(E_r)|:
 (chi' = d chi/dk; G is the scaled record's width_bracket), which turns the
 transmission into the Lorentzian beta^2/((E-E_r)^2+beta^2) and adds
 hbar beta/((E-E_r)^2+beta^2) of time delay on top of the free flight over
-the gap.
+the gap. The tests check beta and tau_r against an independent mpmath
+evaluation of 1/|D'(E_r)| and of the phase-time (tests/neutron_reference.py).
 
 Root search: chi decreases with k at every energy (chi' < 0), so psi is
 strictly increasing and each resonance is the single crossing of one
@@ -44,19 +45,16 @@ from .errors import (
     MassFitError,
     ResonanceValidationError,
 )
-from .kinematics import BarrierSystem, _exp, hyperbolic_state, kinematics
+from .kinematics import BarrierSystem, kinematics
 from .transmission import ScaledDenominator, scaled_denominator
 
 __all__ = [
     "Resonance",
-    "ResonanceExpansion",
     "CERTIFICATION_TOL",
     "resonance_residual",
     "find_resonances",
     "fit_effective_mass",
     "breit_wigner_width",
-    "resonance_expansion",
-    "uv_wronskian_closed_form",
     "bw_probability",
     "bw_phase_time",
 ]
@@ -72,14 +70,6 @@ class Resonance:
     k_r: float     # 1/m
     beta: float    # J
     index: int
-
-
-@dataclass(frozen=True)
-class ResonanceExpansion:
-    """Denominator value and linear-coefficient modulus at a resonance."""
-
-    D_r: complex
-    C_r_mod: float  # 1/J
 
 
 def resonance_residual(sys: BarrierSystem, E: float) -> float:
@@ -214,42 +204,6 @@ def breit_wigner_width(sys: BarrierSystem, res: Resonance) -> float:
     gracefully instead of overflowing.
     """
     return _width(scaled_denominator(sys, res.E_r), sys.L)
-
-
-def uv_wronskian_closed_form(sys: BarrierSystem, E: float) -> float:
-    """u'v - uv' = -2 (1 + w)^2 chi' = (1 + w) [delta k a + sigma^2 cosh(qa) sinh(qa)] / q.
-
-    Exact at every energy (not only at resonances), because
-    u + iv = (1 + w) exp(2i chi); the direct-arithmetic route through the
-    state derivatives cross-checks it. Overflows to inf once qa is past
-    ~177, like the quantity itself.
-    """
-    sc = scaled_denominator(sys, E)
-    scaled = 2.0 * (sc.e_neg + sc.w_scaled) * sc.width_bracket(0.0)
-    return scaled * _exp(2.0 * sc.log_scale)
-
-
-def resonance_expansion(sys: BarrierSystem, res: Resonance) -> ResonanceExpansion:
-    """D(k_r) = (u + iv)/(1 + w) and |C_r| = (m/hbar^2 k) [(u'v - uv')/(1+w) + 2Lw].
-
-    |C_r| is built from the direct derivative products, independently of
-    the closed-form bracket inside beta, so |C_r| beta = 1 is a genuine
-    cross-check of the two routes rather than an identity of the code.
-    """
-    kin = kinematics(sys, res.E_r)
-    state = hyperbolic_state(kin, sys.a)
-    e = state.e_neg
-    one_w = e + state.w_scaled
-    d_r = complex(state.u_scaled, state.v_scaled) / one_w
-    wronskian_scaled = (
-        state.up_scaled * state.v_scaled - state.u_scaled * state.vp_scaled
-    )
-    # (u'v - uv')/(1+w) and 2Lw each carry one factor exp(2qa).
-    bracket_scaled = wronskian_scaled / one_w + 2.0 * sys.L * state.w_scaled
-    c_mod = (kin.m / (kin.hbar**2 * kin.k)) * bracket_scaled * math.exp(
-        state.log_scale
-    )
-    return ResonanceExpansion(D_r=d_r, C_r_mod=c_mod)
 
 
 def bw_probability(res: Resonance, E: float) -> float:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import DegenerateMatchingError, DomainError
 
 __all__ = [
@@ -141,9 +141,7 @@ def _segment_kappa(E: float, height: float, m: float, hbar: float) -> complex:
     return complex(0.0, math.sqrt(2.0 * m * (height - E)) / hbar)
 
 
-def transfer_matrix(
-    profile: PotentialProfile, E: float, constants: PhysicalConstants = CODATA2018
-) -> TransferMatrix:
+def transfer_matrix(profile: PotentialProfile, E: float) -> TransferMatrix:
     """Total coefficient map from the left outer region to the right one.
 
     Includes the outer-medium interfaces on both ends, so profile matrices
@@ -152,7 +150,7 @@ def transfer_matrix(
     """
     if not 0.0 < E < math.inf:
         raise DomainError(f"energy must be finite and > 0, got {E} J")
-    hbar = constants.hbar
+    hbar = CODATA2018.hbar
     m = profile.m
     k_out = _segment_kappa(E, 0.0, m, hbar)
     m11, m12, m21, m22, log_scale = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0
@@ -189,17 +187,15 @@ def transfer_matrix(
     )
 
 
-def solve(
-    profile: PotentialProfile, E: float, constants: PhysicalConstants = CODATA2018
-) -> ScatterSolution:
+def solve(profile: PotentialProfile, E: float) -> ScatterSolution:
     """Transmission and reflection amplitudes for a wave incident from the left."""
-    mat = transfer_matrix(profile, E, constants)
+    mat = transfer_matrix(profile, E)
     if mat.m22 == 0:
         raise DegenerateMatchingError("singular transfer matrix")
     r = -mat.m21 / mat.m22
     # (A_out, 0) = e^lam M (1, r); det(e^lam M) = 1 for equal outer media,
     # so A_out = e^-lam / M22 without forming the cancellation-prone determinant.
-    k = math.sqrt(2.0 * profile.m * E) / constants.hbar
+    k = math.sqrt(2.0 * profile.m * E) / CODATA2018.hbar
     w_total = profile.total_width
     a_out = cmath.exp(complex(-mat.log_scale, -k * w_total)) / mat.m22
     return ScatterSolution(t=a_out, r=r)

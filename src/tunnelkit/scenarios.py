@@ -102,13 +102,13 @@ class SweepTable:
     energy: float                    # J
     rows: tuple[SweepRow, ...]
 
-    def to_json_dict(self, constants: PhysicalConstants = CODATA2018) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "axis": self.axis,
-            "energy_neV": self.energy * constants.neV_per_J,
+            "energy_neV": self.energy * CODATA2018.neV_per_J,
             "rows": [
                 {
-                    "sweep_value_angstrom": r.sweep_value / constants.m_per_angstrom,
+                    "sweep_value_angstrom": r.sweep_value / CODATA2018.m_per_angstrom,
                     "probability": r.probability,
                     "tau_exact_s": r.tau_exact,
                     "tau_asymptotic_s": r.tau_asymptotic,

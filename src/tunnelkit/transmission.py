@@ -48,7 +48,6 @@ __all__ = [
     "log_probability",
     "transmitted_phase",
     "probability_opaque",
-    "opaque_bracket",
 ]
 
 
@@ -158,24 +157,9 @@ def transmitted_phase(sys: BarrierSystem, E: float) -> float:
     return math.remainder(kl - 2.0 * sc.chi - _arg_z(sc), math.tau)
 
 
-def _opaque_bracket(kin: Kinematics, L: float) -> float:
-    """B = (sigma^2/2) cos^2(kL - atan(delta/2)), non-negative by construction."""
-    c = math.cos(kin.k * L - math.atan(0.5 * kin.delta))
-    return 0.5 * kin.sigma_sq * c * c
-
-
-def opaque_bracket(sys: BarrierSystem, E: float) -> float:
-    """B = sigma^2/4 + (1 - delta^2/4) cos(2kL) + delta sin(2kL).
-
-    The opaque limit of |D|^2 exp(-4qa) is (sigma^2/32) B. B vanishes
-    exactly on the opaque-limit resonance locus; small values flag
-    proximity to a resonance.
-    """
-    return _opaque_bracket(kinematics(sys, E), sys.L)
-
-
 def probability_opaque(sys: BarrierSystem, E: float) -> float:
-    """Opaque-barrier asymptotic probability 32 exp(-4qa) / (sigma^2 B).
+    """Opaque-barrier asymptotic probability 32 exp(-4qa) / (sigma^2 B),
+    B = (sigma^2/2) cos^2(kL - atan(delta/2)).
 
     Valid for qa >> 1 away from resonances; the caller owns the regime
     check. The bracket B oscillates with amplitude exactly sigma^2/4, so
@@ -185,7 +169,8 @@ def probability_opaque(sys: BarrierSystem, E: float) -> float:
     """
     kin = kinematics(sys, E)
     s2 = kin.sigma_sq
-    bracket = _opaque_bracket(kin, sys.L)
+    c = math.cos(kin.k * sys.L - math.atan(0.5 * kin.delta))
+    bracket = 0.5 * s2 * c * c
     if bracket <= 1e-9 * (0.25 * s2):
         raise OpaqueBracketError(
             f"asymptotic bracket {bracket} collapsed at E={E} J: too close to a resonance"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from tunnelkit.constants import CODATA2018
 from tunnelkit.kinematics import BarrierSystem
 
 # The cold-neutron interference filter geometry used throughout the suite:
@@ -22,7 +21,3 @@ def neutron_system(mass_ratio: float = 1.0) -> BarrierSystem:
 def neutron() -> BarrierSystem:
     return neutron_system()
 
-
-@pytest.fixture
-def constants():
-    return CODATA2018

@@ -113,9 +113,9 @@ def test_derivatives_match_central_finite_differences(neutron):
     h = kin.k * 1e-7
     lo = _state_at_k(neutron, kin.k - h)
     hi = _state_at_k(neutron, kin.k + h)
-    assert st_.u_prime == pytest.approx((hi.u - lo.u) / (2 * h), rel=1e-6)
-    assert st_.v_prime == pytest.approx((hi.v - lo.v) / (2 * h), rel=1e-6)
-    assert st_.w_prime == pytest.approx((hi.w - lo.w) / (2 * h), rel=1e-6)
+    assert st_.u_prime == pytest.approx((hi.u - lo.u) / (2 * h), rel=1e-6, abs=0)
+    assert st_.v_prime == pytest.approx((hi.v - lo.v) / (2 * h), rel=1e-6, abs=0)
+    assert st_.w_prime == pytest.approx((hi.w - lo.w) / (2 * h), rel=1e-6, abs=0)
 
 
 def _identity_errors(kin, st_):

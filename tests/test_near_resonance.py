@@ -75,7 +75,29 @@ def test_opaque_filter_phase_time_matches_reference(opaque_filter):
         tau = phase_time(sys, E).total
         assert within(tau, tau_ref, 1e-8 * tau_ref[1]), (E, tau, tau_ref)
     (_, (_, tau_r_ref)) = points[3]
-    assert phase_time_at_resonance(sys, res) == pytest.approx(tau_r_ref[1], rel=1e-8)
+    assert phase_time_at_resonance(sys, res) == pytest.approx(tau_r_ref[1], rel=1e-8, abs=0)
+
+
+@pytest.mark.parametrize("a_angstrom", [300.0, 900.0, 1500.0, 1700.0, 1800.0])
+def test_width_and_resonance_time_match_reference(a_angstrom):
+    # beta = 1/|D'(E_r)| and tau(E_r) by mpmath at the float root, qa ~ 2.2
+    # to 12.9. D' is smooth on the scale of beta and tau is stationary at
+    # E_r, so a root placed within a few ulp moves neither past these plain
+    # relative bounds (worst measured: 5.7e-15 in beta, 2.8e-10 in tau_r at
+    # a = 1800 A, where the root is (E_r / beta) 2^-52 ~ 1e-5 beta uncertain).
+    sys = dataclasses.replace(neutron_system(), a=a_angstrom * 1e-10)
+    (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
+    qa = kinematics(sys, res.E_r).q * sys.a
+    digits = 30 + math.ceil(4.0 * qa / math.log(10.0))
+
+    def evaluate():
+        ref = DoubleBarrier.from_si(sys.a, sys.U0, sys.L, sys.m)
+        E_r = ref.nev(res.E_r)
+        return float(ref.beta(E_r) * ref.j_per_nev), float(ref.tau(E_r))
+
+    beta_ref, tau_r_ref = stable(evaluate, digits)
+    assert res.beta == pytest.approx(beta_ref, rel=1e-12, abs=0)
+    assert phase_time_at_resonance(sys, res) == pytest.approx(tau_r_ref, rel=1e-9, abs=0)
 
 
 def test_wide_gap_roots_all_certify():

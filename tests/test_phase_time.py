@@ -23,7 +23,12 @@ from tunnelkit.phase_time import (
     phase_time_numeric,
     phase_time_opaque,
 )
-from tunnelkit.resonance import Resonance, find_resonances, fit_effective_mass
+from tunnelkit.resonance import (
+    CERTIFICATION_TOL,
+    Resonance,
+    find_resonances,
+    fit_effective_mass,
+)
 from tunnelkit.transmission import scaled_denominator
 
 from conftest import neutron_system
@@ -59,8 +64,8 @@ def test_vanishing_width_is_free_flight(neutron):
     sys = dataclasses.replace(neutron, a=1e-22)
     E = joule_from_nev(100.0)
     bd = phase_time(sys, E)
-    assert bd.total == pytest.approx(free_flight(sys, E), rel=1e-9)
-    assert bd.P_value == pytest.approx(sys.L, rel=1e-9)
+    assert bd.total == pytest.approx(free_flight(sys, E), rel=1e-9, abs=0)
+    assert bd.P_value == pytest.approx(sys.L, rel=1e-9, abs=0)
     assert bd.mod_squared == pytest.approx(1.0, rel=1e-9)
 
 
@@ -69,7 +74,7 @@ def test_breakdown_is_consistent(neutron):
     bd = phase_time(neutron, E)
     kin = kinematics(neutron, E)
     assert bd.total == pytest.approx(
-        (kin.m / (kin.hbar * kin.k)) * bd.P_value / bd.mod_squared, rel=1e-12
+        (kin.m / (kin.hbar * kin.k)) * bd.P_value / bd.mod_squared, rel=1e-12, abs=0
     )
     assert math.isfinite(bd.total)
 
@@ -83,7 +88,7 @@ def test_analytic_matches_numeric_on_grid(neutron):
             continue
         analytic = phase_time(neutron, E).total
         numeric = phase_time_numeric(neutron, E, rel_step=1e-6)
-        assert analytic == pytest.approx(numeric, rel=1e-6)
+        assert analytic == pytest.approx(numeric, rel=1e-6, abs=0)
         checked += 1
     assert checked >= 48
 
@@ -92,7 +97,7 @@ def test_numeric_free_flight_limit(neutron):
     sys = dataclasses.replace(neutron, a=1e-22)
     E = joule_from_nev(100.0)
     assert phase_time_numeric(sys, E, rel_step=1e-6) == pytest.approx(
-        free_flight(sys, E), rel=1e-6
+        free_flight(sys, E), rel=1e-6, abs=0
     )
 
 
@@ -121,20 +126,20 @@ def test_resonance_phase_time_value():
     sys, res = fitted_neutron()
     tau_r = phase_time_at_resonance(sys, res)
     # regression pin; the acceptance suite compares against the reported value
-    assert tau_r == pytest.approx(2.8240682137e-7, rel=1e-9)
+    assert tau_r == pytest.approx(2.8240682137e-7, rel=1e-9, abs=0)
 
 
 def test_resonance_closed_form_equals_general_formula():
     sys, res = fitted_neutron()
     assert phase_time_at_resonance(sys, res) == pytest.approx(
-        phase_time(sys, res.E_r).total, rel=1e-9
+        phase_time(sys, res.E_r).total, rel=1e-9, abs=0
     )
 
 
 def test_resonance_numeric_cross_check():
     sys, res = fitted_neutron()
     numeric = phase_time_numeric(sys, res.E_r, rel_step=1e-5)
-    assert phase_time_at_resonance(sys, res) == pytest.approx(numeric, rel=1e-4)
+    assert phase_time_at_resonance(sys, res) == pytest.approx(numeric, rel=1e-4, abs=0)
 
 
 def test_resonance_delay_exceeds_free_flight():
@@ -149,10 +154,22 @@ def test_resonance_validation_guard():
         phase_time_at_resonance(sys, fake)
 
 
+def test_resonance_time_certifies_as_find_resonances_does():
+    # 1e-4 beta off the root, 1 - |A_T|^2 = 9.9e-9 is just past
+    # CERTIFICATION_TOL: find_resonances would not accept it, and tau_r
+    # evaluated there would be 4.6e-6 off.
+    sys, res = fitted_neutron()
+    E = res.E_r + 1e-4 * res.beta
+    assert 1.0 - math.exp(-scaled_denominator(sys, E).log_mod_squared) > CERTIFICATION_TOL
+    off = dataclasses.replace(res, E_r=E)
+    with pytest.raises(ResonanceValidationError):
+        phase_time_at_resonance(sys, off)
+
+
 def test_opaque_limit_at_qa_25():
     sys, E = hartman_system(25.0)
-    assert phase_time(sys, E).total == pytest.approx(hartman_limit(sys, E), rel=1e-4)
-    assert phase_time_opaque(sys, E) == pytest.approx(hartman_limit(sys, E), rel=1e-6)
+    assert phase_time(sys, E).total == pytest.approx(hartman_limit(sys, E), rel=1e-4, abs=0)
+    assert phase_time_opaque(sys, E) == pytest.approx(hartman_limit(sys, E), rel=1e-6, abs=0)
 
 
 def test_opaque_formula_tracks_exact_at_qa_15():
@@ -241,14 +258,14 @@ def test_average_over_resonance_window():
     lo, hi = res.E_r - res.beta, res.E_r + res.beta
     avg = average_phase_time(sys, lo, hi)
     # frozen mpmath reference (tests/neutron_reference.py) of the same mean
-    assert avg == pytest.approx(2.235520144108e-7, rel=1e-9)
+    assert avg == pytest.approx(2.235520144108e-7, rel=1e-9, abs=0)
     n = 512
     h = (hi - lo) / n
     acc = phase_time(sys, lo).total + phase_time(sys, hi).total
     for i in range(1, n):
         acc += phase_time(sys, lo + i * h).total * (4 if i % 2 else 2)
     oracle = acc * h / 3.0 / (hi - lo)
-    assert avg == pytest.approx(oracle, rel=1e-9)
+    assert avg == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
 def test_average_is_between_extremes():
@@ -263,7 +280,7 @@ def test_average_of_narrow_window_converges_to_peak():
     sys, res = fitted_neutron()
     half = res.beta / 200.0
     avg = average_phase_time(sys, res.E_r - half, res.E_r + half)
-    assert avg == pytest.approx(phase_time_at_resonance(sys, res), rel=1e-3)
+    assert avg == pytest.approx(phase_time_at_resonance(sys, res), rel=1e-3, abs=0)
 
 
 def test_average_near_free_flight_for_thin_barriers(neutron):
@@ -271,7 +288,7 @@ def test_average_near_free_flight_for_thin_barriers(neutron):
     E0 = joule_from_nev(100.0)
     lo, hi = E0 * (1 - 1e-9), E0 * (1 + 1e-9)
     assert average_phase_time(sys, lo, hi) == pytest.approx(
-        free_flight(sys, E0), rel=1e-8
+        free_flight(sys, E0), rel=1e-8, abs=0
     )
 
 
@@ -311,7 +328,7 @@ def narrow_references():
 def test_average_over_window_far_wider_than_resonance(narrow_references, window):
     sys, _, lo, hi = _narrow_window(*window)
     assert average_phase_time(sys, lo, hi) == pytest.approx(
-        narrow_references[window], rel=1e-9
+        narrow_references[window], rel=1e-9, abs=0
     )
 
 

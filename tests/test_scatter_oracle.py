@@ -67,9 +67,9 @@ def test_double_barrier_profile_geometry(neutron):
     profile = double_barrier_profile(neutron)
     widths = [w for w, _ in profile.segments]
     heights = [h for _, h in profile.segments]
-    assert widths == pytest.approx([300e-10, 195e-10, 300e-10], rel=1e-15)
+    assert widths == pytest.approx([300e-10, 195e-10, 300e-10], rel=1e-15, abs=0)
     assert heights == pytest.approx(
-        [joule_from_nev(230.0), 0.0, joule_from_nev(230.0)], rel=1e-15
+        [joule_from_nev(230.0), 0.0, joule_from_nev(230.0)], rel=1e-15, abs=0
     )
     assert profile.m == M0
 

@@ -42,8 +42,8 @@ def test_report_times_regression_values(report):
     # Both pins are the independent mpmath reference (neutron_reference):
     # tau_r and the window mean, both of which this implementation meets
     # to ~13 digits (the mean is the exact phase difference over the window).
-    assert report.tau_r == pytest.approx(2.8240682137e-7, rel=1e-6)
-    assert report.tau_avg == pytest.approx(2.2355201441e-7, rel=1e-9)
+    assert report.tau_r == pytest.approx(2.8240682137e-7, rel=1e-6, abs=0)
+    assert report.tau_avg == pytest.approx(2.2355201441e-7, rel=1e-9, abs=0)
 
 
 def test_report_average_lies_inside_window_range(report):
@@ -115,7 +115,7 @@ def test_width_sweep_asymptotic_column_agrees_beyond_qa_15(neutron):
     for row in table.rows:
         if row.flagged:
             continue
-        assert row.tau_asymptotic == pytest.approx(row.tau_exact, rel=0.01)
+        assert row.tau_asymptotic == pytest.approx(row.tau_exact, rel=0.01, abs=0)
 
 
 def test_gap_sweep_is_slow_and_almost_linear(neutron):

@@ -15,7 +15,6 @@ from tunnelkit.scatter_oracle import double_barrier_profile, solve
 from tunnelkit.transmission import (
     amplitude,
     log_probability,
-    opaque_bracket,
     probability,
     probability_opaque,
     scaled_denominator,
@@ -160,7 +159,7 @@ def test_opaque_probability_matches_exact_at_qa_25(neutron):
     E = 0.35 * neutron.U0
     q = kinematics(neutron, E).q
     sys = dataclasses.replace(neutron, a=25.0 / q)
-    assert probability_opaque(sys, E) == pytest.approx(probability(sys, E), rel=1e-3)
+    assert probability_opaque(sys, E) == pytest.approx(probability(sys, E), rel=1e-3, abs=0)
 
 
 def test_opaque_probability_error_shrinks_with_opacity(neutron):
@@ -180,16 +179,17 @@ def test_opaque_probability_doubling_width_scaling(neutron):
     a1 = 18.0 / q
     p1 = probability_opaque(dataclasses.replace(neutron, a=a1), E)
     p2 = probability_opaque(dataclasses.replace(neutron, a=2 * a1), E)
-    assert p2 / p1 == pytest.approx(math.exp(-4.0 * q * a1), rel=1e-12)
+    assert p2 / p1 == pytest.approx(math.exp(-4.0 * q * a1), rel=1e-12, abs=0)
 
 
 def test_opaque_probability_raises_near_resonance():
-    # Sit exactly on a resonance of an opaque system: the bracket collapses.
+    # Sit exactly on a resonance of an opaque system (cos psi = 0): the
+    # bracket B, which tends to (sigma^2/2) cos^2(psi), collapses.
     sys = neutron_system()
     q = kinematics(sys, 0.35 * sys.U0).q
     opaque = dataclasses.replace(sys, a=25.0 / q)
     E_r = bisect_resonance(opaque, 0.45 * sys.U0, 0.60 * sys.U0)
-    assert abs(opaque_bracket(opaque, E_r)) < 1e-10
+    assert abs(scaled_denominator(opaque, E_r).cos_psi) < 1e-10
     with pytest.raises(OpaqueBracketError):
         probability_opaque(opaque, E_r)
 
