@@ -29,7 +29,7 @@ from .constants import (
     angstrom_from_metre,
     metre_from_angstrom,
 )
-from .errors import DomainError, PhaseUnwrapError, TunnelkitError
+from .errors import DomainError, TunnelkitError
 from .kinematics import BarrierSystem, kinematics
 from .phase_time import _phase_time_of, phase_time, phase_time_at_resonance, phase_time_numeric
 from .resonance import find_resonances, fit_effective_mass
@@ -312,16 +312,6 @@ def cmd_sweep(args, config: dict) -> int:
     return 0
 
 
-def _numeric_tau_with_backoff(sys_: BarrierSystem, E: float) -> float:
-    rel_step = 1e-6
-    for _ in range(8):
-        try:
-            return phase_time_numeric(sys_, E, rel_step)
-        except PhaseUnwrapError:
-            rel_step *= 0.5  # sharp resonance: halve until the branch is unambiguous
-    raise PhaseUnwrapError(f"phase step would not settle at E={E} J")
-
-
 def cmd_oracle_check(args, config: dict) -> int:
     sys_ = _build_system(args, config)
     section = _section(config, "oracle_check")
@@ -342,7 +332,7 @@ def cmd_oracle_check(args, config: dict) -> int:
         if dev_amp > worst_amp[0]:
             worst_amp = (dev_amp, E)
         analytic = phase_time(sys_, E).total
-        numeric = _numeric_tau_with_backoff(sys_, E)
+        numeric = phase_time_numeric(sys_, E)
         dev_tau = abs(analytic - numeric) / abs(analytic)
         if dev_tau > worst_tau[0]:
             worst_tau = (dev_tau, E)

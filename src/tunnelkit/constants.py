@@ -44,17 +44,17 @@ class PhysicalConstants:
 CODATA2018 = PhysicalConstants()
 
 
-def joule_from_nev(e_nev: float, constants: PhysicalConstants = CODATA2018) -> float:
-    return e_nev / constants.neV_per_J
+def joule_from_nev(e_nev: float) -> float:
+    return e_nev / CODATA2018.neV_per_J
 
 
-def nev_from_joule(e_joule: float, constants: PhysicalConstants = CODATA2018) -> float:
-    return e_joule * constants.neV_per_J
+def nev_from_joule(e_joule: float) -> float:
+    return e_joule * CODATA2018.neV_per_J
 
 
-def metre_from_angstrom(x_angstrom: float, constants: PhysicalConstants = CODATA2018) -> float:
-    return x_angstrom * constants.m_per_angstrom
+def metre_from_angstrom(x_angstrom: float) -> float:
+    return x_angstrom * CODATA2018.m_per_angstrom
 
 
-def angstrom_from_metre(x_metre: float, constants: PhysicalConstants = CODATA2018) -> float:
-    return x_metre / constants.m_per_angstrom
+def angstrom_from_metre(x_metre: float) -> float:
+    return x_metre / CODATA2018.m_per_angstrom

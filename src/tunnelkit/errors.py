@@ -32,7 +32,12 @@ class StepError(TunnelkitError, ValueError):
 
 
 class PhaseUnwrapError(TunnelkitError):
-    """Phase step exceeds pi/2; the differentiation step must be halved."""
+    """Formerly raised where a wrapped phase step exceeded pi/2.
+
+    The package no longer raises it: phase_time_numeric differences the
+    continuous phase. It stays exported because the benchmark's oracle
+    workload catches it by name (tests/test_public_api.py checks this).
+    """
 
 
 class OpaqueBracketError(TunnelkitError):

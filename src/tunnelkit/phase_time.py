@@ -22,9 +22,12 @@ it collapses to
 
 which is the free flight mL/(hbar k) plus hbar/beta.
 
-The numeric route (central difference of the unwrapped phase) stays
-deliberately independent of the analytic one and certifies it; the
-constant-phase approximation underlying the phase-time itself is applied
+The numeric route is a central difference of the continuous phase
+phi = kL - 2 chi - arg z, which is exactly the mean phase-time over its
+stencil (average_phase_time). It reads the same record as the analytic
+tau, so it checks the derivative formula above against that phase, not
+the record itself (the transfer matrix does that). The constant-phase
+approximation underlying the phase-time itself is applied
 unconditionally, with no validity-region flagging.
 """
 
@@ -33,17 +36,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import CODATA2018
-from .errors import (
-    DomainError,
-    OpaqueBracketError,
-    PhaseUnwrapError,
-    ResonanceValidationError,
-    StepError,
-)
+from .errors import DomainError, OpaqueBracketError, StepError
 from .kinematics import BarrierSystem, _exp, kinematics
-from .resonance import CERTIFICATION_TOL, Resonance
-from .transmission import ScaledDenominator, _arg_z, scaled_denominator, transmitted_phase
+from .resonance import Resonance, _certified
+from .transmission import ScaledDenominator, _arg_z, scaled_denominator
 
 __all__ = [
     "PhaseTimeBreakdown",
@@ -87,11 +83,12 @@ def _phase_time_of(sc: ScaledDenominator, L: float) -> PhaseTimeBreakdown:
 
 
 def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> float:
-    """Central difference of the unwrapped transmitted phase, times hbar.
+    """Central difference of the transmitted phase, times hbar.
 
-    The two-sided stencil must stay inside (0, U0); the phase step across
-    the stencil must stay below pi/2 or the branch correction is ambiguous
-    (halve the step and retry near sharp resonances).
+    hbar [phi(E + dE) - phi(E - dE)] / (2 dE) with dE = E rel_step is exactly
+    the mean phase-time over the stencil, so it is average_phase_time over
+    [E - dE, E + dE]: the continuous phase, with no branch to correct. The
+    two-sided stencil must stay inside (0, U0).
     """
     if not rel_step > 0.0:
         raise DomainError(f"rel_step must be > 0, got {rel_step}")
@@ -101,13 +98,7 @@ def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> 
         raise StepError(
             f"stencil [{lo}, {hi}] J leaves (0, {sys.U0}); reduce rel_step"
         )
-    dphi = transmitted_phase(sys, hi) - transmitted_phase(sys, lo)
-    dphi = math.remainder(dphi, math.tau)  # accumulate the branch correction
-    if abs(dphi) > 0.5 * math.pi:
-        raise PhaseUnwrapError(
-            f"phase step {dphi:.3f} rad exceeds pi/2 across dE={dE} J; halve the step"
-        )
-    return CODATA2018.hbar * dphi / (2.0 * dE)
+    return average_phase_time(sys, lo, hi)
 
 
 def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
@@ -118,12 +109,7 @@ def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
     within CERTIFICATION_TOL of unity, as find_resonances requires) before
     evaluating.
     """
-    sc = scaled_denominator(sys, res.E_r)
-    p_trans = math.exp(-sc.log_mod_squared)
-    if abs(p_trans - 1.0) > CERTIFICATION_TOL:
-        raise ResonanceValidationError(
-            f"|A_T|^2 = {p_trans} at claimed resonance E_r={res.E_r} J"
-        )
+    sc = _certified(sys, res.E_r)
     kin = sc.kin
     bracket = sc.e_neg * sys.L + 2.0 * sc.width_bracket(sys.L)
     return (kin.m / (kin.hbar * kin.k)) * bracket * math.exp(sc.log_scale)

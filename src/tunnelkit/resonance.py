@@ -112,6 +112,20 @@ def _branch_offset(sys: BarrierSystem, E: float, n: int) -> float:
     return offset if abs(offset) > 1.0 else (-1.0) ** (n + 1) * math.cos(psi)
 
 
+def _certified(sys: BarrierSystem, E_r: float) -> ScaledDenominator:
+    """The record at E_r, once |A_T|^2 there is within CERTIFICATION_TOL of
+    unity; raises ResonanceValidationError otherwise."""
+    sc = scaled_denominator(sys, E_r)
+    p = math.exp(-sc.log_mod_squared)
+    if abs(p - 1.0) > CERTIFICATION_TOL:
+        raise ResonanceValidationError(
+            f"|A_T|^2 = {p} at E_r={E_r} J, off unity by {abs(p - 1.0):.3e} "
+            f"(> {CERTIFICATION_TOL}); not a resonance, or one too narrow to "
+            "place in double precision"
+        )
+    return sc
+
+
 def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Resonance]:
     """All certified resonances in (E_min, E_max), ordered by energy.
 
@@ -133,14 +147,7 @@ def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Reso
         target = (n + 0.5) * math.pi
         offset = lambda E: _branch_offset(sys, E, n)
         root = _bisect(offset, lo, E_max, psi_lo - target, psi_hi - target)
-        sc = scaled_denominator(sys, root)
-        p = math.exp(-sc.log_mod_squared)
-        if abs(p - 1.0) > CERTIFICATION_TOL:
-            raise ResonanceValidationError(
-                f"candidate at E={root} J has |A_T|^2={p}, off unity by "
-                f"{abs(p - 1.0):.3e} (> {CERTIFICATION_TOL}); the resonance is "
-                "too narrow to place in double precision"
-            )
+        sc = _certified(sys, root)
         results.append(
             Resonance(E_r=root, k_r=sc.kin.k, beta=_width(sc, sys.L), index=len(results))
         )
@@ -201,9 +208,10 @@ def breit_wigner_width(sys: BarrierSystem, res: Resonance) -> float:
 
     beta = hbar^2 k / (2m [wL - (1+w) chi']) = 1/|D'(E_r)|, evaluated in
     the exp(-2qa)-scaled representation so opaque systems underflow
-    gracefully instead of overflowing.
+    gracefully instead of overflowing. Like find_resonances, it first
+    certifies |A_T(E_r)|^2 = 1 within CERTIFICATION_TOL.
     """
-    return _width(scaled_denominator(sys, res.E_r), sys.L)
+    return _width(_certified(sys, res.E_r), sys.L)
 
 
 def bw_probability(res: Resonance, E: float) -> float:

@@ -259,6 +259,18 @@ def test_oracle_check_single_point(capsys):
     assert code == 0
 
 
+def test_oracle_check_reports_a_resonance_narrower_than_the_stencil(capsys):
+    # beta is 4.7e-3 of the 1e-6 E_r half-stencil at this root, so the numeric
+    # value is the stencil mean, far below tau_r: a deviation, not an error.
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--a", "1000", "--l", "3000", "--u0", "230",
+        "--emin", "71.8338309123095", "--emax", "229", "--points", "1",
+    )
+    assert code == 5
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+    assert "phase_time at E=71.833831 neV" in fail
+
+
 def test_oracle_check_impossible_tolerance(capsys):
     code, out, _ = run_cli(
         capsys, "oracle-check", "--points", "40", "--amp-tol", "1e-16"

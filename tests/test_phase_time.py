@@ -10,7 +10,6 @@ from tunnelkit.constants import CODATA2018, joule_from_nev
 from tunnelkit.errors import (
     DomainError,
     OpaqueBracketError,
-    PhaseUnwrapError,
     ResonanceValidationError,
     StepError,
 )
@@ -116,10 +115,21 @@ def test_numeric_step_guard(neutron):
         phase_time_numeric(neutron, joule_from_nev(229.9), rel_step=1e-2)
 
 
-def test_numeric_unwrap_guard_near_resonance():
-    sys, res = fitted_neutron()
-    with pytest.raises(PhaseUnwrapError):
-        phase_time_numeric(sys, res.E_r, rel_step=3e-2)
+def test_numeric_differences_the_continuous_phase_across_narrow_resonances():
+    # beta is 3e-5 to 5e-3 of the default half-stencil dE = 1e-6 E_r at these
+    # roots, so the phase advances by up to pi across the stencil. The
+    # continuous phase needs no branch correction there, and the central
+    # difference is the stencil mean.
+    sys = BarrierSystem.from_lab_units(1000.0, 230.0, 3000.0, 1.0)
+    roots = find_resonances(sys, joule_from_nev(1.0), 0.999 * sys.U0)
+    assert len(roots) == 10
+    for i, res in enumerate(roots):
+        dE = res.E_r * 1e-6
+        tau = phase_time_numeric(sys, res.E_r)
+        assert tau == average_phase_time(sys, res.E_r - dE, res.E_r + dE)
+        if i < 4:
+            assert res.beta / dE <= 5e-4
+            assert 2.0 * dE * tau / CODATA2018.hbar == pytest.approx(math.pi, rel=0, abs=1e-2)
 
 
 def test_resonance_phase_time_value():

@@ -331,3 +331,13 @@ def test_width_positive_and_energy_in_range():
     assert res.beta > 0
     assert 0 < res.E_r < sys.U0
     assert breit_wigner_width(sys, res) == pytest.approx(res.beta, rel=1e-12, abs=0)
+
+
+def test_width_certifies_as_find_resonances_does():
+    # At E = U0/2, |A_T|^2 = 0.036: the bracket there would give 2.47e-28 J
+    # against the root's 2.93e-28 J, so the width refuses it as tau_r does.
+    sys = neutron_system()
+    (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
+    off = dataclasses.replace(res, E_r=0.5 * sys.U0)
+    with pytest.raises(ResonanceValidationError):
+        breit_wigner_width(sys, off)
