@@ -43,10 +43,10 @@ class PhaseUnwrapError(TunnelkitError):
 class OpaqueBracketError(TunnelkitError):
     """An opaque-barrier asymptotic form does not apply at this energy.
 
-    Raised inside the resonance band, where the opaque expansions of the
-    transmission and of the phase-time are meaningless, and by the
-    phase-time expansion where its gap term is not finite (vanishing
-    barrier widths).
+    Both opaque forms, of the transmission and of the phase-time, are
+    series in x = 1/(w cos^2 psi); they raise it wherever x > 0.01: near a
+    resonance, for barriers too thin or transparent, and for vanishing
+    widths.
     """
 
 

@@ -36,10 +36,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, OpaqueBracketError, StepError
+from .errors import DomainError, StepError
 from .kinematics import BarrierSystem, _exp, kinematics
 from .resonance import Resonance, _certified
-from .transmission import ScaledDenominator, _arg_z, scaled_denominator
+from .transmission import ScaledDenominator, _arg_z, _require_opaque, scaled_denominator
 
 __all__ = [
     "PhaseTimeBreakdown",
@@ -121,14 +121,8 @@ def hartman_limit(sys: BarrierSystem, E: float) -> float:
     return 2.0 * kin.m / (kin.hbar * kin.k * kin.q)
 
 
-# cos^2(psi) at or below this is a resonance collision: the opaque bracket
-# (sigma^2/2) cos^2(psi) is below 5 % of its mean sigma^2/4 there, and the
-# expansion parameter 1/(w cos^2 psi) grows without bound as cos(psi) -> 0.
-_OPAQUE_COS_SQ_MIN = 0.025
-
-
 def phase_time_opaque(sys: BarrierSystem, E: float) -> float:
-    """Opaque-barrier phase-time: the exact tau expanded in 1/(w cos^2 psi),
+    """Opaque-barrier phase-time: the exact tau expanded in x = 1/(w cos^2 psi),
 
         tau ~ (m / hbar k) [-chi' + (L - chi' - (w'/w) sin(psi) cos(psi))
                                     / (2 w cos^2(psi))].
@@ -138,33 +132,23 @@ def phase_time_opaque(sys: BarrierSystem, E: float) -> float:
     the rest of the dependence on the width (the generalized Hartman
     effect). In the opaque limit w'/w -> -2(delta + ka)/q, so the second
     term goes negative where sin(psi) cos(psi) is negative enough, as the
-    exact delay does. The relative error is of order exp(-4qa): about
-    3e-10 at qa = 6.6.
+    exact delay does. The relative error is about C x^2 with C <= 16
+    (measured), so of order exp(-4qa) at fixed psi.
 
-    Raises OpaqueBracketError inside the resonance band
-    cos^2(psi) <= 0.025, where the expansion has no meaning, and where
-    the second term is not finite (a below about 1e-163 m, where
-    w exp(-2qa) underflows).
+    Raises OpaqueBracketError unless x <= 0.01: near a resonance
+    (cos psi -> 0), for barriers too thin or too transparent, and for a
+    vanishing width (a below about 1e-163 m, where w exp(-2qa) underflows).
     """
     return _phase_time_opaque_of(scaled_denominator(sys, E), sys.L)
 
 
 def _phase_time_opaque_of(sc: ScaledDenominator, L: float) -> float:
     """phase_time_opaque from an already evaluated denominator of gap L."""
+    _require_opaque(sc)
     c, w = sc.cos_psi, sc.w_scaled
-    c2 = c * c
-    den = 2.0 * w * c2
-    kin = sc.kin
-    tau = math.inf
-    if den > 0.0:
-        gap = sc.e_neg * (L - sc.chi_k - (sc.w_k_scaled / w) * sc.sin_psi * c) / den
-        tau = (kin.m / (kin.hbar * kin.k)) * (gap - sc.chi_k)
-    if not (c2 > _OPAQUE_COS_SQ_MIN and math.isfinite(tau)):
-        raise OpaqueBracketError(
-            f"opaque expansion undefined at E={kin.E} J: cos^2(psi) = {c2:.3e} "
-            f"(resonance band <= {_OPAQUE_COS_SQ_MIN}), w exp(-2qa) = {w:.3e}"
-        )
-    return tau
+    den = 2.0 * w * (c * c)
+    gap = sc.e_neg * (L - sc.chi_k - (sc.w_k_scaled / w) * sc.sin_psi * c) / den
+    return (sc.kin.m / (sc.kin.hbar * sc.kin.k)) * (gap - sc.chi_k)
 
 
 def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:
@@ -180,10 +164,11 @@ def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:
         L (k_hi - k_lo) = 2 m L dE / (hbar^2 (k_lo + k_hi)),
 
     and only the bounded parts are subtracted. What remains is rounding:
-    about 2^-52 * O(1) / |dphi| relative, where O(1) is the bounded phase's
-    change under a one-ulp change of E (up to ~E_r/beta at a resonance).
-    That is at most ~2^-52 E / (E_hi - E_lo): full precision over a
-    resonance window, fewer digits as the window shrinks far below beta.
+    the bounded phase is evaluated at psi = kL - chi, which carries k's
+    rounding times kL, and follows psi with an O(1) slope off resonance (up
+    to ~E_r/beta at one). So the error is about max(1, kL) 2^-52 O(1)/|dphi|
+    relative: full precision over a resonance window, fewer digits as the
+    window shrinks far below beta or kL reaches ~1e3 rad (L ~ 1e5 A).
     """
     if not (0.0 < E_lo < E_hi < sys.U0):
         raise DomainError(

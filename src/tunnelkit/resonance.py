@@ -30,7 +30,8 @@ of roots, not with a grid, and no root is skipped however densely the
 roots crowd (wide gaps at low energy). The closed form itself stays
 exact at a root; what runs out is the placing of the root: certification
 within 1e-9 needs the root within ~3e-5 beta, which doubles cannot
-resolve once beta/E_r is near 1e-12 (qa ~ 14.5 at E ~ U0/2).
+resolve once beta/E_r falls to about 3e-12: qa ~ 13.7 at L = 195 A, but
+~ 10.4 at L = 1e5 A, as one ulp of E moves psi by about kL 2^-53.
 find_resonances then raises rather than return an uncertified root.
 """
 
@@ -46,7 +47,7 @@ from .errors import (
     ResonanceValidationError,
 )
 from .kinematics import BarrierSystem, kinematics
-from .transmission import ScaledDenominator, scaled_denominator
+from .transmission import ScaledDenominator, _chi, scaled_denominator
 
 __all__ = [
     "Resonance",
@@ -100,8 +101,7 @@ def _psi(sys: BarrierSystem, E: float) -> float:
     """psi = kL - chi, increasing in E, rounded exactly as in scaled_denominator."""
     kin = kinematics(sys, E)
     two_qa = 2.0 * kin.q * sys.a
-    chi = math.atan(0.5 * kin.delta * -math.expm1(-two_qa) / (1.0 + math.exp(-two_qa)))
-    return kin.k * sys.L - chi
+    return kin.k * sys.L - _chi(kin.delta, math.exp(-two_qa), -math.expm1(-two_qa))
 
 
 def _branch_offset(sys: BarrierSystem, E: float, n: int) -> float:

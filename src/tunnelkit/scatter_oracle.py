@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 from .constants import CODATA2018
 from .errors import DegenerateMatchingError, DomainError
@@ -66,8 +66,7 @@ class PotentialProfile:
         return sum(width for width, _ in self.segments)
 
 
-@dataclass(frozen=True)
-class ScatterSolution:
+class ScatterSolution(NamedTuple):
     t: complex
     r: complex
 
@@ -80,8 +79,7 @@ class ScatterSolution:
         return abs(self.r) ** 2
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """2x2 complex matrix with an exp(log_scale) scalar factored out."""
 
     m11: complex
@@ -198,4 +196,4 @@ def solve(profile: PotentialProfile, E: float) -> ScatterSolution:
     k = math.sqrt(2.0 * profile.m * E) / CODATA2018.hbar
     w_total = profile.total_width
     a_out = cmath.exp(complex(-mat.log_scale, -k * w_total)) / mat.m22
-    return ScatterSolution(t=a_out, r=r)
+    return ScatterSolution(a_out, r)

@@ -12,10 +12,10 @@ off resonance from non-tunneling neutrons, half-width ~4 neV) ride along
 as annotations for human comparison; the model does not target them, since
 beam spread and detector resolution are outside its scope.
 
-Sweep rows flag resonance collisions instead of failing: a row is flagged
-when the opaque phase-time expansion rejects it, inside the resonance band
-cos^2(psi) <= 0.025 (5% of the mean sigma^2/4 of the opaque bracket, which
-vanishes exactly on the resonance locus).
+Sweep rows outside the opaque regime are flagged instead of failing: a
+row is flagged when the opaque phase-time expansion rejects it, where its
+parameter x = 1/(w cos^2 psi) exceeds 0.01 (near a resonance, or where the
+barriers are too thin or transparent for the expansion).
 """
 
 from __future__ import annotations
@@ -181,8 +181,9 @@ def hartman_sweep(
 ) -> SweepTable:
     """Exact probability, exact tau and asymptotic tau along one geometry axis.
 
-    Values must be positive and ascending. Rows whose geometry puts E on
-    top of a resonance are flagged (asymptotic column dropped), not fatal.
+    Values must be positive and ascending. Rows where the opaque expansion
+    parameter x = 1/(w cos^2 psi) exceeds 0.01 are flagged (asymptotic
+    column dropped), not fatal; elsewhere it is within ~16 x^2 of exact.
     Each row evaluates the denominator once: probability, exact tau and
     asymptotic tau all come from that one scaled_denominator.
     """

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from tunnelkit.kinematics import BarrierSystem
@@ -9,6 +11,16 @@ from tunnelkit.kinematics import BarrierSystem
 NEUTRON_A_ANGSTROM = 300.0
 NEUTRON_U0_NEV = 230.0
 NEUTRON_L_ANGSTROM = 195.0
+
+
+# Largest x = 1/(w cos^2 psi) at which the opaque forms answer (documented).
+OPAQUE_X_MAX = 0.01
+
+
+def opaque_x(sc) -> float:
+    """The opaque expansion parameter x = 1/(w cos^2 psi) of a record."""
+    bracket = sc.w_scaled * sc.cos_psi**2
+    return sc.e_neg / bracket if bracket > 0.0 else math.inf
 
 
 def neutron_system(mass_ratio: float = 1.0) -> BarrierSystem:

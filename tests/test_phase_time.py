@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 
 import pytest
 from mpmath import mp
@@ -28,9 +29,9 @@ from tunnelkit.resonance import (
     find_resonances,
     fit_effective_mass,
 )
-from tunnelkit.transmission import scaled_denominator
+from tunnelkit.transmission import probability, probability_opaque, scaled_denominator
 
-from conftest import neutron_system
+from conftest import OPAQUE_X_MAX, neutron_system, opaque_x
 from neutron_reference import DoubleBarrier
 
 M0 = CODATA2018.m_neutron
@@ -225,14 +226,17 @@ def opaque_grid():
 
 
 def test_opaque_expansion_meets_exact_on_opaque_grid():
-    # The exact delay tau - 2m/(hbar k q) is negative at 60 of these points,
-    # all outside the resonance band; the expansion must follow its sign.
+    # The exact delay tau - 2m/(hbar k q) is negative at 60 of these points;
+    # the expansion must follow its sign. It raises only where
+    # x = 1/(w cos^2 psi) > OPAQUE_X_MAX: at one point (x = 0.0217). The 20
+    # points of the old band cos^2(psi) <= 0.025 that it now answers are
+    # within 1.5e-8.
     points = list(opaque_grid())
     assert len(points) == 232
-    worst, negative, in_band = 0.0, 0, 0
+    worst, negative, raised = 0.0, 0, 0
     for sys, E, sc in points:
-        if sc.cos_psi**2 <= 0.025:
-            in_band += 1
+        if opaque_x(sc) > OPAQUE_X_MAX:
+            raised += 1
             with pytest.raises(OpaqueBracketError):
                 phase_time_opaque(sys, E)
             continue
@@ -245,7 +249,41 @@ def test_opaque_expansion_meets_exact_on_opaque_grid():
             assert tau < plateau
     assert worst <= 1e-7
     assert negative == 60
-    assert in_band == 21
+    assert raised == 1
+
+
+def test_opaque_forms_answer_exactly_where_x_is_small():
+    # One regime test for both opaque forms, x = 1/(w cos^2 psi) <= 0.01, on
+    # seeded systems from thin and transparent to opaque (qa ~ 0.01-60).
+    # Where they answer, the phase-time is within 20 x^2 of the exact one
+    # (measured C <= 16), and the probability within 10 exp(-2qa) of
+    # `probability`, plus that function's own rounding: it exponentiates
+    # -ln P ~ 4qa, which carries |ln P| 2^-53 relative.
+    rng = random.Random(11)
+    answered, in_old_band = 0, 0
+    for _ in range(2000):
+        a, L = math.exp(rng.uniform(math.log(10.0), math.log(2000.0))), math.exp(
+            rng.uniform(0.0, math.log(1e4))
+        )
+        sys = BarrierSystem.from_lab_units(a, rng.uniform(50.0, 500.0), L, rng.uniform(0.5, 1.5))
+        E = rng.uniform(0.005, 0.995) * sys.U0
+        sc = scaled_denominator(sys, E)
+        x = opaque_x(sc)
+        if x > OPAQUE_X_MAX:
+            with pytest.raises(OpaqueBracketError):
+                phase_time_opaque(sys, E)
+            with pytest.raises(OpaqueBracketError):
+                probability_opaque(sys, E)
+            continue
+        answered += 1
+        in_old_band += sc.cos_psi**2 <= 0.025
+        tau_err = abs(phase_time_opaque(sys, E) / phase_time(sys, E).total - 1.0)
+        assert tau_err <= 20.0 * x * x + 4 * 2.0**-52
+        p = probability(sys, E)
+        p_err = abs(probability_opaque(sys, E) / p - 1.0)
+        assert p_err <= 10.0 * sc.e_neg + 4 * 2.0**-52 - math.log(p) * 2.0**-53
+    # the old rule, cos^2(psi) > 0.025 alone, answered 1,882 of these points
+    assert (answered, in_old_band) == (514, 21)
 
 
 def test_opaque_error_falls_as_exp_minus_4qa():

@@ -7,6 +7,7 @@ import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,23 @@ def test_benchmark_workloads_reach_names_that_resolve():
     assert "PhaseUnwrapError" in WORKLOAD_NAMES
     missing = [name for name in WORKLOAD_NAMES if not hasattr(tunnelkit, name)]
     assert not missing, f"perfbench/workloads.py uses tunnelkit names that are gone: {missing}"
+
+
+SOURCE = Path(tunnelkit.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    # The package is stdlib-only: every import is relative, of the package
+    # itself, or of a module in sys.stdlib_module_names.
+    foreign = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        top = {name.partition(".")[0] for name in names}
+        foreign += sorted(top - sys.stdlib_module_names - {"tunnelkit"})
+    assert not foreign, f"{path.name} imports non-stdlib modules {foreign}"
