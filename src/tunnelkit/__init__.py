@@ -1,8 +1,10 @@
 """Double rectangular barrier tunneling: transmission, resonances, phase-times.
 
 Everything internal is SI; angstrom/neV conversions happen only at the CLI
-and report boundaries. All public values are immutable: the per-energy
-records (Kinematics, ScaledDenominator, TransmissionResult, PhaseTimeBreakdown,
+and report boundaries, through the helpers of `constants`, whose values
+(CODATA 2018 and the exact SI units) are fixed. All public values are
+immutable: the constants record CODATA2018 and the per-energy records
+(Kinematics, ScaledDenominator, TransmissionResult, PhaseTimeBreakdown,
 TransferMatrix, ScatterSolution) are NamedTuples, which are cheap to build,
 and the rest are frozen dataclasses. All operations are pure functions of their
 inputs, so the API is safe for concurrent use without synchronization.
@@ -10,7 +12,7 @@ inputs, so the API is safe for concurrent use without synchronization.
 
 from __future__ import annotations
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .errors import (
     DegenerateMatchingError,
     DegenerateResonanceError,
@@ -78,7 +80,6 @@ __all__ = [
     "__version__",
     # constants
     "CODATA2018",
-    "PhysicalConstants",
     # errors
     "TunnelkitError",
     "DomainError",

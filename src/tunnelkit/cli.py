@@ -17,7 +17,6 @@ Exit codes are frozen for CI use:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -25,12 +24,13 @@ from typing import Optional
 
 from .constants import (
     CODATA2018,
-    PhysicalConstants,
     angstrom_from_metre,
+    joule_from_nev,
     metre_from_angstrom,
+    nev_from_joule,
 )
 from .errors import DomainError, TunnelkitError
-from .kinematics import BarrierSystem, kinematics
+from .kinematics import BarrierSystem
 from .phase_time import _phase_time_of, phase_time, phase_time_at_resonance, phase_time_numeric
 from .resonance import find_resonances, fit_effective_mass
 from .scatter_oracle import double_barrier_profile, solve
@@ -151,12 +151,11 @@ def _build_system(args, config: dict) -> BarrierSystem:
 
 
 def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points: int):
-    nev = 1.0 / CODATA2018.neV_per_J
-    lo, hi = e_min_nev * nev, e_max_nev * nev
+    lo, hi = joule_from_nev(e_min_nev), joule_from_nev(e_max_nev)
     if not (0.0 < lo < sys.U0 and 0.0 < hi < sys.U0):
         raise DomainError(
             f"energy grid [{e_min_nev}, {e_max_nev}] neV must lie inside "
-            f"(0, {sys.U0 * CODATA2018.neV_per_J}) neV"
+            f"(0, {nev_from_joule(sys.U0)}) neV"
         )
     if not hi > lo:
         raise DomainError("grid needs e_max > e_min")
@@ -180,7 +179,7 @@ def cmd_transmission(args, config: dict) -> int:
         sc = scaled_denominator(sys_, E)
         rows.append(
             (
-                E * CODATA2018.neV_per_J,
+                nev_from_joule(E),
                 math.exp(-sc.log_mod_squared),
                 _phase_time_of(sc, sys_.L).total,
             )
@@ -198,18 +197,15 @@ def cmd_transmission(args, config: dict) -> int:
 def cmd_resonances(args, config: dict) -> int:
     sys_ = _build_system(args, config)
     section = _section(config, "resonances")
-    nev = 1.0 / CODATA2018.neV_per_J
     e_min = _number(section, "e_min_neV", 1.0, args.emin)
-    e_max = _number(
-        section, "e_max_neV", 0.999 * sys_.U0 * CODATA2018.neV_per_J, args.emax
-    )
+    e_max = _number(section, "e_max_neV", 0.999 * nev_from_joule(sys_.U0), args.emax)
 
     if args.fit_mass is not None:
         m = fit_effective_mass(
             sys_.a,
             sys_.U0,
             sys_.L,
-            args.fit_mass * nev,
+            joule_from_nev(args.fit_mass),
             (0.5 * CODATA2018.m_neutron, 1.5 * CODATA2018.m_neutron),
         )
         sys.stdout.write(
@@ -217,11 +213,11 @@ def cmd_resonances(args, config: dict) -> int:
         )
         return 0
 
-    found = find_resonances(sys_, e_min * nev, e_max * nev)
+    found = find_resonances(sys_, joule_from_nev(e_min), joule_from_nev(e_max))
     doc = [
         {
-            "E_r_neV": r.E_r * CODATA2018.neV_per_J,
-            "beta_neV": r.beta * CODATA2018.neV_per_J,
+            "E_r_neV": nev_from_joule(r.E_r),
+            "beta_neV": nev_from_joule(r.beta),
             "tau_r_s": phase_time_at_resonance(sys_, r),
         }
         for r in found
@@ -230,33 +226,8 @@ def cmd_resonances(args, config: dict) -> int:
     return 0
 
 
-def _load_constants(path: Optional[str]) -> PhysicalConstants:
-    if path is None:
-        return CODATA2018
-    doc = _load_json_file(path)
-    known = {"hbar", "m_neutron", "neV_per_J", "m_per_angstrom"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown constants field(s): {sorted(unknown)}")
-    merged = {name: _number(doc, name, getattr(CODATA2018, name)) for name in known}
-    # The scenario hands its constants to the unit conversions and the mass
-    # fit only; every closed form takes hbar from CODATA 2018, so another
-    # hbar would change no output.
-    if merged["hbar"] != CODATA2018.hbar:
-        raise ConfigError(
-            f"constants field 'hbar' cannot be overridden: the closed forms use "
-            f"CODATA 2018 hbar = {CODATA2018.hbar!r}, got {merged['hbar']!r}"
-        )
-    try:
-        return PhysicalConstants(**merged)
-    except ValueError as exc:
-        raise ConfigError(f"invalid constants: {exc}") from exc
-
-
 def cmd_neutron(args, config: dict) -> int:
-    constants = _load_constants(args.constants)
-    report = run_neutron_scenario(constants)
-    doc = report.to_json_dict()
+    doc = run_neutron_scenario().to_json_dict()
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     if not args.check:
         return 0
@@ -280,7 +251,6 @@ def cmd_neutron(args, config: dict) -> int:
 def cmd_sweep(args, config: dict) -> int:
     sys_ = _build_system(args, config)
     section = _section(config, "sweep")
-    nev = 1.0 / CODATA2018.neV_per_J
     axis = args.axis or section.get("axis")
     if axis not in ("barrier_width", "gap_length"):
         raise ConfigError(f"axis must be barrier_width or gap_length, got {axis!r}")
@@ -297,7 +267,7 @@ def cmd_sweep(args, config: dict) -> int:
     values = [
         metre_from_angstrom(_number(section, "values_angstrom", 0.0, v)) for v in values_ang
     ]
-    table = hartman_sweep(sys_, energy_nev * nev, axis, values)
+    table = hartman_sweep(sys_, joule_from_nev(energy_nev), axis, values)
     if fmt == "json":
         sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
         return 0
@@ -315,7 +285,7 @@ def cmd_sweep(args, config: dict) -> int:
 def cmd_oracle_check(args, config: dict) -> int:
     sys_ = _build_system(args, config)
     section = _section(config, "oracle_check")
-    u0_nev = sys_.U0 * CODATA2018.neV_per_J
+    u0_nev = nev_from_joule(sys_.U0)
     e_min = _number(section, "e_min_neV", 0.05 * u0_nev, args.emin)
     e_max = _number(section, "e_max_neV", 0.95 * u0_nev, args.emax)
     points = _points(section, 200, args.points)
@@ -337,7 +307,6 @@ def cmd_oracle_check(args, config: dict) -> int:
         if dev_tau > worst_tau[0]:
             worst_tau = (dev_tau, E)
 
-    nev = CODATA2018.neV_per_J
     sys.stdout.write(
         f"amplitude: max relative deviation {worst_amp[0]:.3e} vs transfer matrix "
         f"(threshold {amp_tol:g})\n"
@@ -346,9 +315,9 @@ def cmd_oracle_check(args, config: dict) -> int:
     )
     failed = []
     if worst_amp[0] > amp_tol:
-        failed.append(f"amplitude at E={worst_amp[1] * nev:.6f} neV")
+        failed.append(f"amplitude at E={nev_from_joule(worst_amp[1]):.6f} neV")
     if worst_tau[0] > tau_tol:
-        failed.append(f"phase_time at E={worst_tau[1] * nev:.6f} neV")
+        failed.append(f"phase_time at E={nev_from_joule(worst_tau[1]):.6f} neV")
     if failed:
         sys.stdout.write("FAIL: " + "; ".join(failed) + "\n")
         return 5
@@ -390,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ne = sub.add_parser("neutron", help="run the cold-neutron filter scenario")
     p_ne.add_argument("--check", action="store_true",
                       help="verify the scenario against its acceptance fixtures")
-    p_ne.add_argument("--constants", help="JSON file overriding physical constants")
     p_ne.set_defaults(func=cmd_neutron)
 
     p_sw = sub.add_parser("sweep", help="sweep barrier width or gap length")

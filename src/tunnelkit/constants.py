@@ -1,17 +1,23 @@
-"""Physical constants (CODATA 2018) and unit conversions.
+"""Physical constants and the only unit conversions of the package.
 
-Internal unit system is SI throughout; the neV and angstrom helpers exist
-only for the API boundary. Keep this module dependency-free: the
-transfer-matrix reference engine imports it directly and must not pull in
-the closed-form machinery.
+Everything internal is SI. Since the 2019 SI the electron-volt (so 1 neV =
+1.602176634e-28 J), the angstrom (1e-10 m) and hbar = h / 2 pi (h =
+6.62607015e-34 J s) are exact by definition (BIPM SI Brochure, 9th ed.);
+hbar is carried as its CODATA 2018 value, and the free neutron mass is
+CODATA 2018's. The values are fixed: no function takes another set.
+
+Every neV <-> J and angstrom <-> m conversion, in the library and at the
+CLI, goes through the four helpers below, so one input in lab units gives
+one double whichever entry point reads it. Keep this module
+dependency-free: the transfer-matrix reference engine imports it directly
+and must not pull in the closed-form machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
-    "PhysicalConstants",
     "CODATA2018",
     "joule_from_nev",
     "nev_from_joule",
@@ -19,29 +25,20 @@ __all__ = [
     "angstrom_from_metre",
 ]
 
-# CODATA 2018: hbar in J s, free neutron mass in kg, 1 neV in J.
-_HBAR = 1.054571817e-34
-_M_NEUTRON = 1.67492749804e-27
-_J_PER_NEV = 1.602176634e-28
-_M_PER_ANGSTROM = 1e-10
+
+class _Constants(NamedTuple):
+    hbar: float             # J s
+    m_neutron: float        # kg
+    neV_per_J: float
+    m_per_angstrom: float
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants and the two boundary conversion factors."""
-
-    hbar: float = _HBAR                       # J s
-    m_neutron: float = _M_NEUTRON             # kg
-    neV_per_J: float = 1.0 / _J_PER_NEV
-    m_per_angstrom: float = _M_PER_ANGSTROM
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "m_neutron", "neV_per_J", "m_per_angstrom"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"constant {name} must be strictly positive")
-
-
-CODATA2018 = PhysicalConstants()
+CODATA2018 = _Constants(
+    hbar=1.054571817e-34,
+    m_neutron=1.67492749804e-27,
+    neV_per_J=1.0 / 1.602176634e-28,
+    m_per_angstrom=1e-10,
+)
 
 
 def joule_from_nev(e_nev: float) -> float:

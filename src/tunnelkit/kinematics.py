@@ -42,12 +42,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018, joule_from_nev, metre_from_angstrom
 from .errors import DomainError
 
 __all__ = [
-    "PhysicalConstants",
-    "CODATA2018",
     "BarrierSystem",
     "Kinematics",
     "HyperbolicState",
@@ -96,14 +94,14 @@ class BarrierSystem:
         U0_nev: float,
         L_angstrom: float,
         mass_ratio: float = 1.0,
-        constants: PhysicalConstants = CODATA2018,
     ) -> "BarrierSystem":
-        """Build a system from angstroms, neV and a mass ratio to m_neutron."""
+        """Build a system from angstroms, neV and a mass ratio to the CODATA 2018
+        free neutron mass, converted by the helpers of `constants`."""
         return cls(
-            a=a_angstrom * constants.m_per_angstrom,
-            U0=U0_nev / constants.neV_per_J,
-            L=L_angstrom * constants.m_per_angstrom,
-            m=mass_ratio * constants.m_neutron,
+            a=metre_from_angstrom(a_angstrom),
+            U0=joule_from_nev(U0_nev),
+            L=metre_from_angstrom(L_angstrom),
+            m=mass_ratio * CODATA2018.m_neutron,
         )
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018, angstrom_from_metre, joule_from_nev, nev_from_joule
 from .errors import DomainError, OpaqueBracketError
 from .kinematics import BarrierSystem
 from .phase_time import (
@@ -105,10 +105,10 @@ class SweepTable:
     def to_json_dict(self) -> dict:
         return {
             "axis": self.axis,
-            "energy_neV": self.energy * CODATA2018.neV_per_J,
+            "energy_neV": nev_from_joule(self.energy),
             "rows": [
                 {
-                    "sweep_value_angstrom": r.sweep_value / CODATA2018.m_per_angstrom,
+                    "sweep_value_angstrom": angstrom_from_metre(r.sweep_value),
                     "probability": r.probability,
                     "tau_exact_s": r.tau_exact,
                     "tau_asymptotic_s": r.tau_asymptotic,
@@ -120,36 +120,37 @@ class SweepTable:
         }
 
 
-def neutron_filter_system(
-    mass_ratio: float = 1.0, constants: PhysicalConstants = CODATA2018
-) -> BarrierSystem:
+def neutron_filter_system(mass_ratio: float = 1.0) -> BarrierSystem:
     return BarrierSystem.from_lab_units(
         NEUTRON_BARRIER_WIDTH_ANGSTROM,
         NEUTRON_BARRIER_HEIGHT_NEV,
         NEUTRON_GAP_ANGSTROM,
         mass_ratio,
-        constants,
     )
 
 
-def run_neutron_scenario(constants: PhysicalConstants = CODATA2018) -> NeutronReport:
-    """Free-mass resonance, effective-mass fit, width, tau_r and window average."""
-    free = neutron_filter_system(1.0, constants)
+def run_neutron_scenario() -> NeutronReport:
+    """Free-mass resonance, effective-mass fit, width, tau_r and window average.
+
+    Energies are reported in neV and masses as ratios to the CODATA 2018
+    free neutron mass, converted by the helpers of `constants`.
+    """
+    free = neutron_filter_system()
     window = (1e-3 * free.U0, 0.999 * free.U0)
     free_res = find_resonances(free, *window)
     if len(free_res) != 1:
         raise DomainError(
             f"expected exactly one free-mass resonance, found {len(free_res)}"
         )
-    e_r_free_nev = free_res[0].E_r * constants.neV_per_J
+    e_r_free_nev = nev_from_joule(free_res[0].E_r)
 
-    target = NEUTRON_TARGET_E_R_NEV / constants.neV_per_J
+    target = joule_from_nev(NEUTRON_TARGET_E_R_NEV)
     m_fit = fit_effective_mass(
         free.a,
         free.U0,
         free.L,
         target,
-        (0.5 * constants.m_neutron, 1.5 * constants.m_neutron),
+        (0.5 * CODATA2018.m_neutron, 1.5 * CODATA2018.m_neutron),
     )
     fitted = dataclasses.replace(free, m=m_fit)
     (res,) = find_resonances(fitted, *window)
@@ -158,8 +159,8 @@ def run_neutron_scenario(constants: PhysicalConstants = CODATA2018) -> NeutronRe
     tau_avg = average_phase_time(fitted, res.E_r - res.beta, res.E_r + res.beta)
     return NeutronReport(
         E_r_free_mass=e_r_free_nev,
-        fitted_mass_ratio=m_fit / constants.m_neutron,
-        beta=res.beta * constants.neV_per_J,
+        fitted_mass_ratio=m_fit / CODATA2018.m_neutron,
+        beta=nev_from_joule(res.beta),
         tau_r=tau_r,
         tau_avg=tau_avg,
     )

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from tunnelkit import cli, neutron_filter_system, probability
 from tunnelkit.cli import NEUTRON_CHECKS, main
+from tunnelkit.constants import joule_from_nev
 
 from neutron_reference import neutron_reference
 
@@ -115,20 +117,24 @@ def test_neutron_report_schema(capsys):
     ]
 
 
-def test_neutron_check_reports_known_violations(capsys, tmp_path):
+def test_neutron_check_reports_known_violations(capsys, monkeypatch):
     # The defaults meet all four fixtures.
     code, _, err = run_cli(capsys, "neutron", "--check")
     assert code == 0
     assert err.count("PASS ") == 4
     assert "FAIL" not in err
 
-    # A different free neutron mass leaves the fitted mass in kg unchanged
-    # but moves its ratio to m_neutron by ~1e-3, outside the 1e-4 fixture.
-    heavier = tmp_path / "heavier.json"
-    heavier.write_text(json.dumps({"m_neutron": 1.6766e-27}), encoding="utf-8")
-    code, _, err = run_cli(capsys, "neutron", "--check", "--constants", str(heavier))
+    # A fitted-mass fixture 1e-3 away from the report is outside its 1e-4
+    # tolerance; the other three rows still pass.
+    moved = tuple(
+        (field, expected + 1e-3, tol, kind) if field == "fitted_mass_ratio"
+        else (field, expected, tol, kind)
+        for field, expected, tol, kind in NEUTRON_CHECKS
+    )
+    monkeypatch.setattr(cli, "NEUTRON_CHECKS", moved)
+    code, _, err = run_cli(capsys, "neutron", "--check")
     assert code == 4
-    assert "PASS E_r_free_mass" in err
+    assert err.count("PASS ") == 3
     assert "FAIL fitted_mass_ratio" in err
     assert "acceptance violations: fitted_mass_ratio\n" in err
 
@@ -144,40 +150,42 @@ def test_neutron_check_fixtures_match_reference():
     assert rows["tau_avg"][1] == 1e-9
 
 
-def test_neutron_corrupted_constants_file(capsys, tmp_path):
-    bad = tmp_path / "constants.json"
+def test_corrupted_config_file(capsys, tmp_path):
+    bad = tmp_path / "config.json"
     bad.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(capsys, "neutron", "--constants", str(bad))
-    assert code == 2
-    assert "config error" in err
-
-    negative = tmp_path / "neg.json"
-    negative.write_text(json.dumps({"hbar": -1.0}), encoding="utf-8")
-    code, _, err = run_cli(capsys, "neutron", "--constants", str(negative))
-    assert code == 2
-
-
-def test_neutron_constants_override_round_trips(capsys, tmp_path):
-    good = tmp_path / "codata.json"
-    good.write_text(
-        json.dumps({"hbar": 1.054571817e-34, "m_neutron": 1.67492749804e-27}),
-        encoding="utf-8",
-    )
-    code, out, _ = run_cli(capsys, "neutron", "--constants", str(good))
-    assert code == 0
-    assert json.loads(out)["E_r_free_mass"] == pytest.approx(123.04, abs=0.05)
-
-
-def test_neutron_constants_refuse_hbar_override(capsys, tmp_path):
-    # The closed forms always use CODATA 2018 hbar; another value would be
-    # ignored silently, so it is refused before anything is computed.
-    other = tmp_path / "hbar.json"
-    other.write_text(json.dumps({"hbar": 1.2e-34}), encoding="utf-8")
-    code, out, err = run_cli(capsys, "neutron", "--constants", str(other))
+    code, out, err = run_cli(capsys, "transmission", "--config", str(bad))
     assert code == 2
     assert out == ""
-    assert err.startswith("config error: constants field 'hbar'")
-    assert "1.2e-34" in err
+    assert err.startswith("config error: config file") and "not valid JSON" in err
+
+
+def test_neutron_takes_no_constants_file(capsys):
+    # The constants are fixed (CODATA 2018 and the exact SI units); the
+    # retired --constants flag is a usage error.
+    code, out, _ = run_cli(capsys, "neutron", "--constants", "x.json")
+    assert code == 2
+    assert out == ""
+
+
+# Every neV input, in the library and at the CLI, goes through
+# constants.joule_from_nev, so the same energy gives bit-identical numbers.
+def test_resonances_fit_mass_matches_neutron_scenario_bit_for_bit(capsys):
+    code, out, _ = run_cli(capsys, "neutron")
+    assert code == 0
+    scenario_ratio = json.loads(out)["fitted_mass_ratio"]
+    code, out, _ = run_cli(capsys, "resonances", "--fit-mass", "127")
+    assert code == 0
+    assert json.loads(out)["fitted_mass_ratio"] == scenario_ratio
+
+
+def test_transmission_matches_library_bit_for_bit(capsys):
+    code, out, _ = run_cli(
+        capsys, "transmission", "--emin", "127", "--points", "1", "--format", "json"
+    )
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["probability"] == probability(neutron_filter_system(), joule_from_nev(127.0))
+    assert row["E_neV"] == 127.0
 
 
 def test_sweep_csv_and_flags(capsys):

@@ -1,5 +1,5 @@
 """Every exported name resolves, so retiring a function cannot leave a dangling export
-or strand a name the benchmark reaches."""
+or strand a name the benchmark reaches; and every top-level import is used or exported."""
 
 from __future__ import annotations
 
@@ -80,3 +80,27 @@ def test_package_imports_only_the_standard_library(path):
         top = {name.partition(".")[0] for name in names}
         foreign += sorted(top - sys.stdlib_module_names - {"tunnelkit"})
     assert not foreign, f"{path.name} imports non-stdlib modules {foreign}"
+
+
+def _exported(tree: ast.Module) -> set:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_every_top_level_import_is_used_or_exported(path):
+    # A binding no code reads and __all__ does not name is dead weight.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in bound if name not in read | _exported(tree)]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -25,7 +25,7 @@ from neutron_reference import DoubleBarrier
 
 @pytest.fixture(scope="module")
 def report():
-    return run_neutron_scenario(CODATA2018)
+    return run_neutron_scenario()
 
 
 def test_report_free_mass_resonance(report):
