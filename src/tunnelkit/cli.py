@@ -151,6 +151,8 @@ def _build_system(args, config: dict) -> BarrierSystem:
 
 
 def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points: int):
+    """The grid in neV, both ends as given, so each point prints as the number
+    it was made from; the caller converts each with joule_from_nev."""
     lo, hi = joule_from_nev(e_min_nev), joule_from_nev(e_max_nev)
     if not (0.0 < lo < sys.U0 and 0.0 < hi < sys.U0):
         raise DomainError(
@@ -160,8 +162,9 @@ def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points:
     if not hi > lo:
         raise DomainError("grid needs e_max > e_min")
     if points == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+        return [e_min_nev]
+    span = e_max_nev - e_min_nev
+    return [e_min_nev + span * i / (points - 1) for i in range(points - 1)] + [e_max_nev]
 
 
 def cmd_transmission(args, config: dict) -> int:
@@ -175,11 +178,11 @@ def cmd_transmission(args, config: dict) -> int:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
     rows = []
-    for E in _energy_grid(sys_, e_min, e_max, points):
-        sc = scaled_denominator(sys_, E)
+    for e_nev in _energy_grid(sys_, e_min, e_max, points):
+        sc = scaled_denominator(sys_, joule_from_nev(e_nev))
         rows.append(
             (
-                nev_from_joule(E),
+                e_nev,
                 math.exp(-sc.log_mod_squared),
                 _phase_time_of(sc, sys_.L).total,
             )
@@ -269,7 +272,9 @@ def cmd_sweep(args, config: dict) -> int:
     ]
     table = hartman_sweep(sys_, joule_from_nev(energy_nev), axis, values)
     if fmt == "json":
-        sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
+        doc = table.to_json_dict()
+        doc["energy_neV"] = energy_nev  # as given, not converted there and back
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
         return 0
     lines = ["sweep_value_angstrom,probability,tau_exact_s,tau_asymptotic_s,flagged"]
     for row in table.rows:
@@ -295,17 +300,18 @@ def cmd_oracle_check(args, config: dict) -> int:
     profile = double_barrier_profile(sys_)
     worst_amp = (0.0, None)
     worst_tau = (0.0, None)
-    for E in _energy_grid(sys_, e_min, e_max, points):
+    for e_nev in _energy_grid(sys_, e_min, e_max, points):
+        E = joule_from_nev(e_nev)
         closed = amplitude(sys_, E).amplitude
         reference = solve(profile, E).t
         dev_amp = abs(closed - reference) / abs(reference)
         if dev_amp > worst_amp[0]:
-            worst_amp = (dev_amp, E)
+            worst_amp = (dev_amp, e_nev)
         analytic = phase_time(sys_, E).total
         numeric = phase_time_numeric(sys_, E)
         dev_tau = abs(analytic - numeric) / abs(analytic)
         if dev_tau > worst_tau[0]:
-            worst_tau = (dev_tau, E)
+            worst_tau = (dev_tau, e_nev)
 
     sys.stdout.write(
         f"amplitude: max relative deviation {worst_amp[0]:.3e} vs transfer matrix "
@@ -315,9 +321,9 @@ def cmd_oracle_check(args, config: dict) -> int:
     )
     failed = []
     if worst_amp[0] > amp_tol:
-        failed.append(f"amplitude at E={nev_from_joule(worst_amp[1]):.6f} neV")
+        failed.append(f"amplitude at E={worst_amp[1]:.6f} neV")
     if worst_tau[0] > tau_tol:
-        failed.append(f"phase_time at E={nev_from_joule(worst_tau[1]):.6f} neV")
+        failed.append(f"phase_time at E={worst_tau[1]:.6f} neV")
     if failed:
         sys.stdout.write("FAIL: " + "; ".join(failed) + "\n")
         return 5

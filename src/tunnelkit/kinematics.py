@@ -31,15 +31,20 @@ here are therefore stored scaled by exp(-2qa) alongside log_scale = 2qa;
 the plain attributes reconstruct the unscaled numbers (becoming inf once
 they genuinely exceed the double range).
 
-Kinematics is an immutable NamedTuple rather than a frozen dataclass: it
-is built once per energy point, and a NamedTuple costs a fraction of a
-frozen dataclass to construct.
+Every record here is an immutable NamedTuple. Kinematics is built once
+per energy point, where a NamedTuple costs a fraction of a frozen
+dataclass to construct, and no record needs `dataclasses`, whose import
+(with `inspect`) would make `import tunnelkit.cli` about 1.5x slower.
+Reading a NamedTuple field costs about 10 ns more than a dataclass
+attribute, so the per-energy functions read each BarrierSystem field once.
+BarrierSystem keeps its checks in a thin subclass whose `__new__`
+validates and whose `_make` goes through `__new__`, so `_replace` and
+unpickling validate too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import CODATA2018, joule_from_nev, metre_from_angstrom
@@ -62,30 +67,39 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class BarrierSystem:
-    """Two equal rectangular barriers of width a and height U0, a gap L apart.
-
-    All fields are SI: a, L in metres, U0 in joules, m in kilograms. The
-    mass is whatever effective mass describes the particle in the medium;
-    it is treated as a free positive parameter.
-    """
-
+class _BarrierFields(NamedTuple):
     a: float
     U0: float
     L: float
     m: float
 
-    def __post_init__(self) -> None:
+
+class BarrierSystem(_BarrierFields):
+    """Two equal rectangular barriers of width a and height U0, a gap L apart.
+
+    All fields are SI: a, L in metres, U0 in joules, m in kilograms. The
+    mass is whatever effective mass describes the particle in the medium;
+    it is treated as a free positive parameter. Construction, `_replace`
+    and unpickling all raise DomainError for an out-of-range field.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, U0: float, L: float, m: float) -> "BarrierSystem":
         # One chained comparison per field rejects inf and NaN as well.
-        if not 0.0 < self.a < math.inf:
-            raise DomainError(f"barrier width a must be finite and > 0, got {self.a}")
-        if not 0.0 < self.U0 < math.inf:
-            raise DomainError(f"barrier height U0 must be finite and > 0, got {self.U0}")
-        if not 0.0 <= self.L < math.inf:
-            raise DomainError(f"gap L must be finite and >= 0, got {self.L}")
-        if not 0.0 < self.m < math.inf:
-            raise DomainError(f"mass m must be finite and > 0, got {self.m}")
+        if not 0.0 < a < math.inf:
+            raise DomainError(f"barrier width a must be finite and > 0, got {a}")
+        if not 0.0 < U0 < math.inf:
+            raise DomainError(f"barrier height U0 must be finite and > 0, got {U0}")
+        if not 0.0 <= L < math.inf:
+            raise DomainError(f"gap L must be finite and >= 0, got {L}")
+        if not 0.0 < m < math.inf:
+            raise DomainError(f"mass m must be finite and > 0, got {m}")
+        return tuple.__new__(cls, (a, U0, L, m))
+
+    @classmethod
+    def _make(cls, iterable) -> "BarrierSystem":
+        return cls(*iterable)
 
     @classmethod
     def from_lab_units(
@@ -127,22 +141,22 @@ def kinematics(sys: BarrierSystem, E: float) -> Kinematics:
     Energies at or above the barrier top are out of scope (q would turn
     imaginary) and raise DomainError.
     """
+    U0, m = sys.U0, sys.m
     if not E > 0.0:
         raise DomainError(f"energy must be > 0, got {E} J")
-    if not E < sys.U0:
+    if not E < U0:
         raise DomainError(
-            f"energy must be below the barrier top U0={sys.U0} J, got {E} J"
+            f"energy must be below the barrier top U0={U0} J, got {E} J"
         )
     hbar = CODATA2018.hbar
-    k = math.sqrt(2.0 * sys.m * E) / hbar
-    q = math.sqrt(2.0 * sys.m * (sys.U0 - E)) / hbar
+    k = math.sqrt(2.0 * m * E) / hbar
+    q = math.sqrt(2.0 * m * (U0 - E)) / hbar
     delta = (q * q - k * k) / (k * q)
     sigma = (k * k + q * q) / (k * q)
-    return Kinematics(E, k, q, delta, sigma, hbar, sys.m)
+    return Kinematics(E, k, q, delta, sigma, hbar, m)
 
 
-@dataclass(frozen=True)
-class HyperbolicState:
+class HyperbolicState(NamedTuple):
     """u, v, w and their k-derivatives, stored scaled by exp(-2qa).
 
     True values are <name>_scaled * exp(log_scale) with log_scale = 2qa.

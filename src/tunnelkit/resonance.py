@@ -38,7 +38,7 @@ find_resonances then raises rather than return an uncertified root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegenerateResonanceError,
@@ -63,8 +63,7 @@ __all__ = [
 CERTIFICATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Resonance:
+class Resonance(NamedTuple):
     """A certified transparency point: energy, wavenumber, half-width, ordinal."""
 
     E_r: float     # J
@@ -104,12 +103,19 @@ def _psi(sys: BarrierSystem, E: float) -> float:
     return kin.k * sys.L - _chi(kin.delta, math.exp(-two_qa), -math.expm1(-two_qa))
 
 
-def _branch_offset(sys: BarrierSystem, E: float, n: int) -> float:
-    """psi(E) - (n + 1/2) pi, or within a radian of it its sine (-1)^(n+1) cos(psi),
-    which changes sign where the certified cos(psi) does, not at a rounded target."""
-    psi = _psi(sys, E)
-    offset = psi - (n + 0.5) * math.pi
-    return offset if abs(offset) > 1.0 else (-1.0) ** (n + 1) * math.cos(psi)
+def _branch_offset(sys: BarrierSystem, n: int):
+    """The function E -> psi(E) - (n + 1/2) pi, or within a radian of it its sine
+    (-1)^(n+1) cos(psi), which changes sign where the certified cos(psi) does,
+    not at a rounded target. A closure, so each bisection step makes one call
+    above _psi."""
+    target, sign = (n + 0.5) * math.pi, (-1.0) ** (n + 1)
+
+    def offset(E: float) -> float:
+        psi = _psi(sys, E)
+        d = psi - target
+        return d if abs(d) > 1.0 else sign * math.cos(psi)
+
+    return offset
 
 
 def _certified(sys: BarrierSystem, E_r: float) -> ScaledDenominator:
@@ -145,8 +151,7 @@ def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Reso
     lo = E_min
     for n in range(math.floor(psi_lo / math.pi - 0.5) + 1, math.ceil(psi_hi / math.pi - 0.5)):
         target = (n + 0.5) * math.pi
-        offset = lambda E: _branch_offset(sys, E, n)
-        root = _bisect(offset, lo, E_max, psi_lo - target, psi_hi - target)
+        root = _bisect(_branch_offset(sys, n), lo, E_max, psi_lo - target, psi_hi - target)
         sc = _certified(sys, root)
         results.append(
             Resonance(E_r=root, k_r=sc.kin.k, beta=_width(sc, sys.L), index=len(results))

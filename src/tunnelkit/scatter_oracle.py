@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import CODATA2018
@@ -45,21 +44,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
-    """Ordered constant-potential segments (width m, height J) plus the mass."""
-
+class _ProfileFields(NamedTuple):
     segments: tuple[tuple[float, float], ...]
     m: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.m < math.inf:
-            raise DomainError(f"mass must be finite and > 0, got {self.m}")
-        for width, height in self.segments:
+
+class PotentialProfile(_ProfileFields):
+    """Ordered constant-potential segments (width m, height J) plus the mass.
+
+    Construction, `_replace` and unpickling all raise DomainError for a
+    non-finite or out-of-range field.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, segments: tuple[tuple[float, float], ...], m: float
+    ) -> "PotentialProfile":
+        if not 0.0 < m < math.inf:
+            raise DomainError(f"mass must be finite and > 0, got {m}")
+        for width, height in segments:
             if not 0.0 < width < math.inf:
                 raise DomainError(f"segment widths must be finite and > 0, got {width}")
             if not math.isfinite(height):
                 raise DomainError(f"segment heights must be finite, got {height}")
+        return tuple.__new__(cls, (segments, m))
+
+    @classmethod
+    def _make(cls, iterable) -> "PotentialProfile":
+        return cls(*iterable)
 
     @property
     def total_width(self) -> float:

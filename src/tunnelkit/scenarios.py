@@ -20,10 +20,8 @@ barriers are too thin or transparent for the expansion).
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .constants import CODATA2018, angstrom_from_metre, joule_from_nev, nev_from_joule
 from .errors import DomainError, OpaqueBracketError
@@ -65,8 +63,8 @@ MEASURED_ANNOTATIONS = {
     "measured_half_width_neV": 4.0,
 }
 
-@dataclass(frozen=True)
-class NeutronReport:
+
+class NeutronReport(NamedTuple):
     """Scenario outputs in presentation units (neV for energies, s for times)."""
 
     E_r_free_mass: float      # neV
@@ -76,18 +74,12 @@ class NeutronReport:
     tau_avg: float            # s
 
     def to_json_dict(self) -> dict:
-        return {
-            "E_r_free_mass": self.E_r_free_mass,
-            "fitted_mass_ratio": self.fitted_mass_ratio,
-            "beta": self.beta,
-            "tau_r": self.tau_r,
-            "tau_avg": self.tau_avg,
-            "annotations": dict(MEASURED_ANNOTATIONS),
-        }
+        doc = self._asdict()
+        doc["annotations"] = dict(MEASURED_ANNOTATIONS)
+        return doc
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     sweep_value: float               # m
     probability: float
     tau_exact: float                 # s
@@ -96,8 +88,7 @@ class SweepRow:
     flag_reason: Optional[str]
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
     axis: Literal["barrier_width", "gap_length"]
     energy: float                    # J
     rows: tuple[SweepRow, ...]
@@ -152,7 +143,7 @@ def run_neutron_scenario() -> NeutronReport:
         target,
         (0.5 * CODATA2018.m_neutron, 1.5 * CODATA2018.m_neutron),
     )
-    fitted = dataclasses.replace(free, m=m_fit)
+    fitted = free._replace(m=m_fit)
     (res,) = find_resonances(fitted, *window)
 
     tau_r = phase_time_at_resonance(fitted, res)
@@ -168,9 +159,9 @@ def run_neutron_scenario() -> NeutronReport:
 
 def _swept_system(sys: BarrierSystem, axis: str, value: float) -> BarrierSystem:
     if axis == "barrier_width":
-        return dataclasses.replace(sys, a=value)
+        return sys._replace(a=value)
     if axis == "gap_length":
-        return dataclasses.replace(sys, L=value)
+        return sys._replace(L=value)
     raise DomainError(f"unknown sweep axis {axis!r}")
 
 

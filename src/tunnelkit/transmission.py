@@ -25,9 +25,9 @@ opaque regime never overflows: at qa ~ 700 the probability underflows to
 zero while the phase-time stays exact.
 
 The per-energy records (ScaledDenominator, TransmissionResult) are
-immutable NamedTuples, built positionally: a frozen dataclass costs about
-six times as much to build, keyword construction twice as much, and
-either would dominate the time of one energy point.
+immutable NamedTuples, like every public record of the package, and are
+built positionally: keyword construction costs about twice as much, and
+would show in the time of one energy point.
 """
 
 from __future__ import annotations
@@ -105,10 +105,11 @@ def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
     """
     kin = kinematics(sys, E)
     k, q, delta, s2 = kin.k, kin.q, kin.delta, kin.sigma_sq
-    two_qa = 2.0 * q * sys.a
+    a = sys.a
+    two_qa = 2.0 * q * a
     e = math.exp(-two_qa)
     p = -math.expm1(-two_qa)   # 1 - e, accurate for small qa
-    ka = k * sys.a
+    ka = k * a
     chsh = (1.0 + e) * p / 4.0  # cosh(qa) sinh(qa) e
     w = s2 * p * p / 16.0
     w_k = -(s2 / (2.0 * q)) * (0.25 * delta * p * p + ka * chsh)
@@ -128,8 +129,7 @@ def _scaled_z(sc: ScaledDenominator) -> complex:
 
 def _arg_z(sc: ScaledDenominator) -> float:
     """arg z in (-pi/2, pi/2): Re z >= e > 0, so it is continuous in E."""
-    z = _scaled_z(sc)
-    return math.atan2(z.imag, z.real)
+    return cmath.phase(_scaled_z(sc))
 
 
 def amplitude(sys: BarrierSystem, E: float) -> TransmissionResult:
@@ -138,7 +138,7 @@ def amplitude(sys: BarrierSystem, E: float) -> TransmissionResult:
     # exp(-2ika)/D = exp(-2i(ka + chi)) e conj(z)/|z|^2 with z = _scaled_z(sc).
     num = _scaled_z(sc).conjugate() * (sc.e_neg / sc.mod_sq_scaled)
     amp = cmath.exp(-2j * (sc.kin.k * sys.a + sc.chi)) * num
-    return TransmissionResult(amplitude=amp, probability=math.exp(-sc.log_mod_squared))
+    return TransmissionResult(amp, math.exp(-sc.log_mod_squared))
 
 
 def probability(sys: BarrierSystem, E: float) -> float:

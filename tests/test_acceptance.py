@@ -18,7 +18,6 @@ deviation from them.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -68,7 +67,7 @@ def fitted_neutron():
     m = fit_effective_mass(
         sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.5 * M0, 1.5 * M0)
     )
-    sys = dataclasses.replace(sys0, m=m)
+    sys = sys0._replace(m=m)
     (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
     return sys, res
 
@@ -87,7 +86,7 @@ def test_criterion_02_effective_mass_inversion():
     target = joule_from_nev(127.0)
     m = fit_effective_mass(sys0.a, sys0.U0, sys0.L, target, (0.5 * M0, 1.5 * M0))
     ratio = m / M0
-    fitted = dataclasses.replace(sys0, m=m)
+    fitted = sys0._replace(m=m)
     (res,) = find_resonances(fitted, 1e-3 * sys0.U0, 0.999 * sys0.U0)
     round_trip = abs(res.E_r - target) / target
     ok = abs(ratio - 0.926883) <= 1e-4 and round_trip <= 1e-9
@@ -205,13 +204,13 @@ def test_criterion_08_generalized_hartman_effect():
     base = neutron_system()
     E = 0.1 * base.U0          # k/q = 1/3, away from any resonance below
     q = kinematics(base, E).q
-    sys25 = dataclasses.replace(base, a=25.0 / q, L=1.0 / q)
+    sys25 = base._replace(a=25.0 / q, L=1.0 / q)
     plateau_gap = abs(phase_time(sys25, E).total / hartman_limit(sys25, E) - 1.0)
     bound_ok = True
     details = []
     for qa in (15.0, 20.0, 25.0):
-        sys = dataclasses.replace(base, a=qa / q, L=1.0 / q)
-        doubled = dataclasses.replace(sys, L=2.0 * sys.L)
+        sys = base._replace(a=qa / q, L=1.0 / q)
+        doubled = sys._replace(L=2.0 * sys.L)
         t1 = phase_time(sys, E).total
         t2 = phase_time(doubled, E).total
         rel = abs(t2 - t1) / t1
@@ -236,7 +235,7 @@ def test_criterion_09_exponential_transparency_scaling():
     for i in range(11):
         a = (15.0 + i) / q
         xs.append(a)
-        ys.append(log_probability(dataclasses.replace(sys, a=a), E))
+        ys.append(log_probability(sys._replace(a=a), E))
     n = len(xs)
     xbar, ybar = sum(xs) / n, sum(ys) / n
     slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
@@ -292,7 +291,7 @@ def test_criterion_10_property_suites():
     res_ok = True
     for mass_ratio, l_scale in ((1.0, 1.0), (0.926875, 1.0), (1.0, 2.0), (0.7, 1.5)):
         sys = neutron_system(mass_ratio)
-        sys = dataclasses.replace(sys, L=l_scale * sys.L)
+        sys = sys._replace(L=l_scale * sys.L)
         for r in find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0):
             res_ok &= abs(amplitude(sys, r.E_r).probability - 1.0) <= 1e-9
             res_ok &= abs(resonance_residual(sys, r.E_r)) < 1e-10

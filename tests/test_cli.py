@@ -188,6 +188,35 @@ def test_transmission_matches_library_bit_for_bit(capsys):
     assert row["E_neV"] == 127.0
 
 
+def test_transmission_rows_echo_their_energy_and_reproduce(capsys):
+    # The grid is built in neV with both ends as given, so the rows print 54.2
+    # and 214.1 (not 54.199999999999996 and 214.09999999999997) and feeding
+    # any row's energy back gives the same row.
+    code, out, _ = run_cli(
+        capsys, "transmission", "--emin", "54.2", "--emax", "214.1", "--points", "9",
+        "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert (rows[0]["E_neV"], rows[-1]["E_neV"]) == (54.2, 214.1)
+    for row in rows:
+        code, out, _ = run_cli(
+            capsys, "transmission", "--emin", repr(row["E_neV"]), "--points", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out) == [row]
+
+
+def test_sweep_json_echoes_its_energy(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "gap_length", "--energy", "100.1",
+        "--values", "100", "200", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["energy_neV"] == 100.1
+
+
 def test_sweep_csv_and_flags(capsys):
     code, out, _ = run_cli(
         capsys,

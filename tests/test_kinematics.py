@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,35 @@ def test_barrier_system_rejects_non_finite(field, value):
     fields[field] = value
     with pytest.raises(DomainError, match="finite"):
         BarrierSystem(**fields)
+
+
+_BAD_SYSTEM_FIELDS = [
+    (field, value)
+    for field in ("a", "U0", "L", "m")
+    for value in (math.inf, math.nan, -1e-9) + ((0.0,) if field != "L" else ())
+]
+
+
+@pytest.mark.parametrize("field, value", _BAD_SYSTEM_FIELDS)
+def test_barrier_system_replace_validates(field, value):
+    # A NamedTuple's _replace goes through _make, which BarrierSystem routes
+    # through its validating __new__, so it rejects what construction rejects.
+    good = BarrierSystem(a=1e-8, U0=1e-26, L=0.0, m=1e-27)
+    with pytest.raises(DomainError):
+        good._replace(**{field: value})
+
+
+def test_barrier_system_record_semantics():
+    sys = BarrierSystem(a=1e-8, U0=1e-26, L=2e-9, m=1e-27)
+    assert sys == BarrierSystem(1e-8, 1e-26, 2e-9, 1e-27) == (1e-8, 1e-26, 2e-9, 1e-27)
+    assert repr(sys) == "BarrierSystem(a=1e-08, U0=1e-26, L=2e-09, m=1e-27)"
+    assert sys._replace(L=0.0) == (1e-8, 1e-26, 0.0, 1e-27)
+    copy = pickle.loads(pickle.dumps(sys))
+    assert type(copy) is BarrierSystem and copy == sys
+    # Unpickling validates as well: a record forged past __new__ does not load.
+    forged = tuple.__new__(BarrierSystem, (math.nan, 1e-26, 2e-9, 1e-27))
+    with pytest.raises(DomainError):
+        pickle.loads(pickle.dumps(forged))
 
 
 def test_energy_domain_errors(neutron):

@@ -14,7 +14,6 @@ from the narrowest widths the range is far below the tolerance.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -55,7 +54,7 @@ def within(value, refs, tol):
 @pytest.fixture(scope="module", params=[900.0, 1200.0, 1500.0])
 def opaque_filter(request):
     """The neutron filter's U0 and L with wider barriers, qa ~ 6.5 to 11 at E_r."""
-    sys = dataclasses.replace(neutron_system(), a=request.param * 1e-10)
+    sys = neutron_system()._replace(a=request.param * 1e-10)
     (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
     energies = [res.E_r + j * res.beta for j in range(-3, 4)]
     return sys, res, [(E, reference_ranges(sys, E)) for E in energies]
@@ -85,7 +84,7 @@ def test_width_and_resonance_time_match_reference(a_angstrom):
     # E_r, so a root placed within a few ulp moves neither past these plain
     # relative bounds (worst measured: 5.7e-15 in beta, 2.8e-10 in tau_r at
     # a = 1800 A, where the root is (E_r / beta) 2^-52 ~ 1e-5 beta uncertain).
-    sys = dataclasses.replace(neutron_system(), a=a_angstrom * 1e-10)
+    sys = neutron_system()._replace(a=a_angstrom * 1e-10)
     (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
     qa = kinematics(sys, res.E_r).q * sys.a
     digits = 30 + math.ceil(4.0 * qa / math.log(10.0))
@@ -103,7 +102,7 @@ def test_width_and_resonance_time_match_reference(a_angstrom):
 def test_wide_gap_roots_all_certify():
     # L = 20000 A between the filter's barriers: 65 roots, the narrowest
     # with beta/E_r ~ 6e-6, each certified to |A_T|^2 = 1 within 1e-9.
-    sys = dataclasses.replace(neutron_system(), L=20000e-10)
+    sys = neutron_system()._replace(L=20000e-10)
     roots = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
     assert len(roots) == 65
     assert all(abs(probability(sys, r.E_r) - 1.0) <= 1e-9 for r in roots)

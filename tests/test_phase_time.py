@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -47,7 +46,7 @@ def fitted_neutron():
     m = fit_effective_mass(
         sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.5 * M0, 1.5 * M0)
     )
-    sys = dataclasses.replace(sys0, m=m)
+    sys = sys0._replace(m=m)
     (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
     return sys, res
 
@@ -57,11 +56,11 @@ def hartman_system(qa: float, ql: float = 1.0):
     base = neutron_system()
     E = 0.1 * base.U0
     q = kinematics(base, E).q
-    return dataclasses.replace(base, a=qa / q, L=ql / q), E
+    return base._replace(a=qa / q, L=ql / q), E
 
 
 def test_vanishing_width_is_free_flight(neutron):
-    sys = dataclasses.replace(neutron, a=1e-22)
+    sys = neutron._replace(a=1e-22)
     E = joule_from_nev(100.0)
     bd = phase_time(sys, E)
     assert bd.total == pytest.approx(free_flight(sys, E), rel=1e-9, abs=0)
@@ -94,7 +93,7 @@ def test_analytic_matches_numeric_on_grid(neutron):
 
 
 def test_numeric_free_flight_limit(neutron):
-    sys = dataclasses.replace(neutron, a=1e-22)
+    sys = neutron._replace(a=1e-22)
     E = joule_from_nev(100.0)
     assert phase_time_numeric(sys, E, rel_step=1e-6) == pytest.approx(
         free_flight(sys, E), rel=1e-6, abs=0
@@ -172,7 +171,7 @@ def test_resonance_time_certifies_as_find_resonances_does():
     sys, res = fitted_neutron()
     E = res.E_r + 1e-4 * res.beta
     assert 1.0 - math.exp(-scaled_denominator(sys, E).log_mod_squared) > CERTIFICATION_TOL
-    off = dataclasses.replace(res, E_r=E)
+    off = res._replace(E_r=E)
     with pytest.raises(ResonanceValidationError):
         phase_time_at_resonance(sys, off)
 
@@ -192,7 +191,7 @@ def test_opaque_formula_tracks_exact_at_qa_15():
 
 def test_opaque_gap_dependence_bound_at_qa_20():
     sys, E = hartman_system(20.0)
-    doubled = dataclasses.replace(sys, L=2 * sys.L)
+    doubled = sys._replace(L=2 * sys.L)
     kin = kinematics(sys, E)
     qa = kin.q * sys.a
     t1, t2 = phase_time_opaque(sys, E), phase_time_opaque(doubled, E)
@@ -206,7 +205,7 @@ def test_hartman_plateau_bound():
     # |tau(L) - tau(2L)| / tau <= 10 exp(-2qa) on the exact phase-time.
     for qa in (15.0, 20.0, 25.0):
         sys, E = hartman_system(qa)
-        doubled = dataclasses.replace(sys, L=2 * sys.L)
+        doubled = sys._replace(L=2 * sys.L)
         t1 = phase_time(sys, E).total
         t2 = phase_time(doubled, E).total
         assert abs(t2 - t1) / t1 <= 10.0 * math.exp(-2.0 * qa)
@@ -293,7 +292,7 @@ def test_opaque_error_falls_as_exp_minus_4qa():
     ladder = (4.0, 5.3, 6.6, 7.9)
     errs = []
     for qa in ladder:
-        sys = dataclasses.replace(base, a=qa / q)
+        sys = base._replace(a=qa / q)
         errs.append(abs(phase_time_opaque(sys, E) / phase_time(sys, E).total - 1.0))
     assert errs[0] < 1e-4
     for i in range(len(ladder) - 1):
@@ -332,7 +331,7 @@ def test_average_of_narrow_window_converges_to_peak():
 
 
 def test_average_near_free_flight_for_thin_barriers(neutron):
-    sys = dataclasses.replace(neutron, a=1e-22)
+    sys = neutron._replace(a=1e-22)
     E0 = joule_from_nev(100.0)
     lo, hi = E0 * (1 - 1e-9), E0 * (1 + 1e-9)
     assert average_phase_time(sys, lo, hi) == pytest.approx(

@@ -1,12 +1,15 @@
 """Every exported name resolves, so retiring a function cannot leave a dangling export
-or strand a name the benchmark reaches; and every top-level import is used or exported."""
+or strand a name the benchmark reaches; every top-level import is used or exported;
+and importing the CLI loads no heavy stdlib module."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -104,3 +107,17 @@ def test_every_top_level_import_is_used_or_exported(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in bound if name not in read | _exported(tree)]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Each CLI command is a fresh process that pays for its imports, and
+    # dataclasses (which imports inspect, ast, dis and tokenize) would make
+    # `import tunnelkit.cli` about 1.5x slower. -S keeps site hooks from
+    # loading either module first.
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    probe = "import sys, tunnelkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 
 import pytest
@@ -181,7 +180,7 @@ def test_unresolvable_narrow_resonance_fails_certification():
     # within the ~3e-5 beta that certification to 1e-9 needs.
     sys = neutron_system()
     q_mid = kinematics(sys, 0.5 * sys.U0).q
-    opaque = dataclasses.replace(sys, a=16.0 / q_mid)
+    opaque = sys._replace(a=16.0 / q_mid)
     with pytest.raises(ResonanceValidationError):
         find_resonances(opaque, 0.40 * sys.U0, 0.60 * sys.U0)
 
@@ -211,7 +210,7 @@ def test_mass_fit_round_trips_through_find_resonances():
     target = joule_from_nev(127.0)
     sys0 = neutron_system()
     m = fit_effective_mass(sys0.a, sys0.U0, sys0.L, target, (0.5 * M0, 1.5 * M0))
-    fitted = dataclasses.replace(sys0, m=m)
+    fitted = sys0._replace(m=m)
     (res,) = find_resonances(fitted, *full_window(fitted))
     assert res.E_r == pytest.approx(target, rel=1e-9, abs=0)
 
@@ -229,7 +228,7 @@ def fitted_neutron():
     m = fit_effective_mass(
         sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.5 * M0, 1.5 * M0)
     )
-    sys = dataclasses.replace(sys0, m=m)
+    sys = sys0._replace(m=m)
     (res,) = find_resonances(sys, *full_window(sys))
     return sys, res
 
@@ -246,7 +245,7 @@ def test_width_shrinks_when_gap_grows(neutron):
     # Track the lowest quasi-bound level as the gap widens.
     betas = []
     for scale in (1.0, 1.5, 2.0):
-        sys = dataclasses.replace(neutron, L=scale * neutron.L)
+        sys = neutron._replace(L=scale * neutron.L)
         roots = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
         betas.append(roots[0].beta)
     assert betas[0] > betas[1] > betas[2]
@@ -338,6 +337,6 @@ def test_width_certifies_as_find_resonances_does():
     # against the root's 2.93e-28 J, so the width refuses it as tau_r does.
     sys = neutron_system()
     (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
-    off = dataclasses.replace(res, E_r=0.5 * sys.U0)
+    off = res._replace(E_r=0.5 * sys.U0)
     with pytest.raises(ResonanceValidationError):
         breit_wigner_width(sys, off)

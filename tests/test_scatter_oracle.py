@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -75,9 +76,7 @@ def test_double_barrier_profile_geometry(neutron):
 
 
 def test_zero_gap_merges_to_single_barrier():
-    import dataclasses
-
-    sys = dataclasses.replace(neutron_system(), L=0.0)
+    sys = neutron_system()._replace(L=0.0)
     profile = double_barrier_profile(sys)
     assert profile.segments == ((2 * sys.a, sys.U0),)
     E = joule_from_nev(100.0)
@@ -87,9 +86,7 @@ def test_zero_gap_merges_to_single_barrier():
 
 
 def test_vanishing_barrier_width_is_transparent(neutron):
-    import dataclasses
-
-    sys = dataclasses.replace(neutron, a=1e-20)
+    sys = neutron._replace(a=1e-20)
     sol = solve(double_barrier_profile(sys), joule_from_nev(100.0))
     assert sol.transmission == pytest.approx(1.0, rel=1e-9)
 
@@ -134,6 +131,39 @@ def test_profile_rejects_non_finite(segments, mass):
         PotentialProfile(segments, mass)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"m": math.inf},
+        {"m": math.nan},
+        {"m": 0.0},
+        {"m": -M0},
+        {"segments": ((0.0, 1e-26),)},
+        {"segments": ((-1e-8, 1e-26),)},
+        {"segments": ((math.inf, 1e-26),)},
+        {"segments": ((math.nan, 1e-26),)},
+        {"segments": ((1e-8, math.inf),)},
+        {"segments": ((1e-8, math.nan),)},
+    ],
+    ids=["inf-mass", "nan-mass", "zero-mass", "negative-mass", "zero-width",
+         "negative-width", "inf-width", "nan-width", "inf-height", "nan-height"],
+)
+def test_profile_replace_validates(change):
+    good = PotentialProfile(segments=((1e-8, 1e-26),), m=M0)
+    with pytest.raises(DomainError):
+        good._replace(**change)
+
+
+def test_profile_record_semantics(neutron):
+    profile = PotentialProfile(segments=((1e-8, 1e-26), (2e-9, 0.0)), m=M0)
+    assert profile == PotentialProfile(((1e-8, 1e-26), (2e-9, 0.0)), M0)
+    assert profile == (((1e-8, 1e-26), (2e-9, 0.0)), M0)
+    assert profile.total_width == 1e-8 + 2e-9
+    assert profile._replace(m=2 * M0).m == 2 * M0
+    copy = pickle.loads(pickle.dumps(double_barrier_profile(neutron)))
+    assert type(copy) is PotentialProfile and copy == double_barrier_profile(neutron)
+
+
 def _matrices_close(a: TransferMatrix, b: TransferMatrix, rel: float) -> bool:
     # Compare after aligning scales: a * e^{a.log_scale} vs b * e^{b.log_scale}.
     shift = math.exp(b.log_scale - a.log_scale)
@@ -165,10 +195,8 @@ def _evanescent_q(E: float, height: float) -> float:
 @pytest.mark.parametrize("frac", [0.1, 0.43, 0.9])
 @pytest.mark.parametrize("qa", [40.0, 120.0, 170.0])
 def test_deep_barriers_match_closed_form(neutron, frac, qa):
-    import dataclasses
-
     E = frac * neutron.U0
-    sys = dataclasses.replace(neutron, a=qa / _evanescent_q(E, neutron.U0))
+    sys = neutron._replace(a=qa / _evanescent_q(E, neutron.U0))
     t = solve(double_barrier_profile(sys), E).t
     assert t == pytest.approx(amplitude(sys, E).amplitude, rel=1e-12, abs=0.0)
 
@@ -231,10 +259,8 @@ def test_unitarity_on_neutron_grid(neutron):
 
 def test_deep_tunneling_stays_finite(neutron):
     # qa ~ 700: transmission underflows gracefully, reflection saturates at 1.
-    import dataclasses
-
     kq = math.sqrt(2 * M0 * (neutron.U0 - 0.4 * neutron.U0)) / HBAR
-    sys = dataclasses.replace(neutron, a=700.0 / kq)
+    sys = neutron._replace(a=700.0 / kq)
     sol = solve(double_barrier_profile(sys), 0.4 * sys.U0)
     assert sol.transmission == 0.0  # below the double-precision floor
     assert sol.reflection == pytest.approx(1.0, abs=1e-10)

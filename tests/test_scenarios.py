@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 
@@ -124,7 +123,7 @@ def test_gap_sweep_is_slow_and_almost_linear(neutron):
     # Opaque regime: tau vs L moves very little and stays near the plateau.
     E = 0.35 * neutron.U0
     kin = kinematics(neutron, E)
-    sys = dataclasses.replace(neutron, a=20.0 / kin.q)
+    sys = neutron._replace(a=20.0 / kin.q)
     values = [(0.5 + 0.1 * i) / kin.q for i in range(20)]
     table = hartman_sweep(sys, E, "gap_length", values)
     taus = [r.tau_exact for r in table.rows if not r.flagged]
@@ -141,9 +140,9 @@ def test_gap_sweep_flags_resonant_rows(neutron):
     E = 0.35 * neutron.U0
     kin = kinematics(neutron, E)
     values = [(0.3 + 0.05 * i) / kin.q for i in range(80)]
-    opaque = hartman_sweep(dataclasses.replace(neutron, a=20.0 / kin.q), E, "gap_length", values)
+    opaque = hartman_sweep(neutron._replace(a=20.0 / kin.q), E, "gap_length", values)
     assert not any(r.flagged for r in opaque.rows)
-    table = hartman_sweep(dataclasses.replace(neutron, a=5.0 / kin.q), E, "gap_length", values)
+    table = hartman_sweep(neutron._replace(a=5.0 / kin.q), E, "gap_length", values)
     flagged = [r for r in table.rows if r.flagged]
     assert flagged, "sweep crossing the resonance locus must flag rows"
     for row in flagged:
@@ -166,14 +165,14 @@ def test_sweep_rows_equal_the_per_point_functions(neutron, axis):
     else:
         values = [(0.3 + 0.05 * i) / kin.q for i in range(80)]
         sweeps = [
-            (dataclasses.replace(neutron, a=qa / kin.q), values, flags)
+            (neutron._replace(a=qa / kin.q), values, flags)
             for qa, flags in ((20.0, {False}), (5.0, {True, False}))
         ]
     field = "a" if axis == "barrier_width" else "L"
     for sys, values, expected_flags in sweeps:
         table = hartman_sweep(sys, E, axis, values)
         for value, row in zip(values, table.rows):
-            probe = dataclasses.replace(sys, **{field: value})
+            probe = sys._replace(**{field: value})
             assert row.probability == probability(probe, E)
             assert row.tau_exact == phase_time(probe, E).total
             if not row.flagged:
@@ -193,13 +192,13 @@ def test_sweep_flags_exactly_the_resonance_band(neutron, axis, lo, hi, fraction)
     # asymptotic column. An unflagged row is within 20 x^2 of the exact tau.
     # The 600 A barriers are opaque enough (qa ~ 5) for the gap sweep to
     # leave the flagged rows; the width sweep replaces them.
-    base = dataclasses.replace(neutron, a=600e-10)
+    base = neutron._replace(a=600e-10)
     E = fraction * base.U0
     values = [(lo + (hi - lo) * i / 199) * 1e-10 for i in range(200)]
     table = hartman_sweep(base, E, axis, values)
     field = "a" if axis == "barrier_width" else "L"
     for value, row in zip(values, table.rows):
-        probe = dataclasses.replace(base, **{field: value})
+        probe = base._replace(**{field: value})
         x = opaque_x(scaled_denominator(probe, E))
         try:
             phase_time_opaque(probe, E)
@@ -221,8 +220,8 @@ def test_sweep_flags_vanishing_width_row(neutron):
     thin, thick = hartman_sweep(neutron, E, "barrier_width", [1e-200, 1e-7]).rows
     assert thin.flagged and thin.tau_asymptotic is None and thin.flag_reason
     assert not thick.flagged and thick.tau_asymptotic is not None
-    assert opaque_x(scaled_denominator(dataclasses.replace(neutron, a=1e-7), E)) <= OPAQUE_X_MAX
-    probe = dataclasses.replace(neutron, a=1e-200)
+    assert opaque_x(scaled_denominator(neutron._replace(a=1e-7), E)) <= OPAQUE_X_MAX
+    probe = neutron._replace(a=1e-200)
     assert scaled_denominator(probe, E).w_scaled == 0.0
     assert thin.tau_exact == phase_time(probe, E).total
     with pytest.raises(OpaqueBracketError):
@@ -256,13 +255,13 @@ def test_hartman_effect_remainder_falls_as_exp_minus_2qa(neutron, axis):
         sweeps = [(neutron, [qa / q for qa in ladder], ladder)]
     else:
         gaps = [(0.3 + 0.5 * i) / q for i in range(8)]
-        sweeps = [(dataclasses.replace(neutron, a=qa / q), gaps, [qa] * 8) for qa in ladder]
+        sweeps = [(neutron._replace(a=qa / q), gaps, [qa] * 8) for qa in ladder]
     field = "a" if axis == "barrier_width" else "L"
     excess = {}
     for sys, values, opacities in sweeps:
         table = hartman_sweep(sys, E, axis, values)
         for value, qa, row in zip(values, opacities, table.rows):
-            probe = dataclasses.replace(sys, **{field: value})
+            probe = sys._replace(**{field: value})
             plateau = hartman_limit(probe, E)
             ref = _reference_plateau_excess(probe, E, qa)
             got = (row.tau_exact - plateau) / plateau

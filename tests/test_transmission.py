@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -50,7 +49,7 @@ def neutron_resonance_energy() -> float:
 
 
 def test_vanishing_width_gives_free_propagation(neutron):
-    sys = dataclasses.replace(neutron, a=1e-22)
+    sys = neutron._replace(a=1e-22)
     E = joule_from_nev(100.0)
     res = amplitude(sys, E)
     # A_T = exp(-2ika)/D, so D = 1 is A_T exp(2ika) = 1
@@ -146,7 +145,7 @@ def test_log_probability_slope_is_minus_4q(neutron):
     for i in range(11):
         a = (15.0 + i) / q
         xs.append(a)
-        ys.append(log_probability(dataclasses.replace(neutron, a=a), E))
+        ys.append(log_probability(neutron._replace(a=a), E))
     n = len(xs)
     xbar, ybar = sum(xs) / n, sum(ys) / n
     slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
@@ -158,7 +157,7 @@ def test_log_probability_slope_is_minus_4q(neutron):
 def test_opaque_probability_matches_exact_at_qa_25(neutron):
     E = 0.35 * neutron.U0
     q = kinematics(neutron, E).q
-    sys = dataclasses.replace(neutron, a=25.0 / q)
+    sys = neutron._replace(a=25.0 / q)
     assert probability_opaque(sys, E) == pytest.approx(probability(sys, E), rel=1e-3, abs=0)
 
 
@@ -168,7 +167,7 @@ def test_opaque_probability_error_shrinks_with_opacity(neutron):
     E = 0.35 * neutron.U0
     q = kinematics(neutron, E).q
     for qa in (10.0, 15.0, 20.0, 25.0):
-        sys = dataclasses.replace(neutron, a=qa / q)
+        sys = neutron._replace(a=qa / q)
         err = abs(probability_opaque(sys, E) / probability(sys, E) - 1.0)
         assert err <= 10.0 * math.exp(-2.0 * qa) + 4.0 * 2.0**-52
 
@@ -177,8 +176,8 @@ def test_opaque_probability_doubling_width_scaling(neutron):
     E = 0.3 * neutron.U0
     q = kinematics(neutron, E).q
     a1 = 18.0 / q
-    p1 = probability_opaque(dataclasses.replace(neutron, a=a1), E)
-    p2 = probability_opaque(dataclasses.replace(neutron, a=2 * a1), E)
+    p1 = probability_opaque(neutron._replace(a=a1), E)
+    p2 = probability_opaque(neutron._replace(a=2 * a1), E)
     assert p2 / p1 == pytest.approx(math.exp(-4.0 * q * a1), rel=1e-12, abs=0)
 
 
@@ -187,7 +186,7 @@ def test_opaque_probability_raises_near_resonance():
     # bracket B, which tends to (sigma^2/2) cos^2(psi), collapses.
     sys = neutron_system()
     q = kinematics(sys, 0.35 * sys.U0).q
-    opaque = dataclasses.replace(sys, a=25.0 / q)
+    opaque = sys._replace(a=25.0 / q)
     E_r = bisect_resonance(opaque, 0.45 * sys.U0, 0.60 * sys.U0)
     assert abs(scaled_denominator(opaque, E_r).cos_psi) < 1e-10
     with pytest.raises(OpaqueBracketError):
@@ -197,7 +196,7 @@ def test_opaque_probability_raises_near_resonance():
 def test_underflow_is_graceful_far_beyond_double_range(neutron):
     E = 0.4 * neutron.U0
     q = kinematics(neutron, E).q
-    sys = dataclasses.replace(neutron, a=700.0 / q)
+    sys = neutron._replace(a=700.0 / q)
     assert probability(sys, E) == 0.0
     assert log_probability(sys, E) == pytest.approx(-4.0 * 700.0, rel=1e-2)
 
