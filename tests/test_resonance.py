@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from tunnelkit.errors import (
     ResonanceValidationError,
     TunnelkitError,
 )
+from tunnelkit import resonance as resonance_module
 from tunnelkit.kinematics import BarrierSystem, hyperbolic_state, kinematics
 from tunnelkit.resonance import (
     bw_phase_time,
@@ -31,6 +33,7 @@ from conftest import (
     NEUTRON_U0_NEV,
     neutron_system,
 )
+from neutron_reference import neutron_reference
 
 M0 = CODATA2018.m_neutron
 
@@ -196,6 +199,9 @@ def test_fitted_mass_reproduces_reported_ratio():
     assert m / M0 == pytest.approx(REPORTED_MASS_RATIO, abs=1e-4)
     # regression pin on the implemented inversion
     assert m / M0 == pytest.approx(0.9268754233, rel=1e-9)
+    # the mpmath root of the same residual, within 1 ulp
+    reference = neutron_reference()["mass_ratio"]
+    assert abs(m / M0 - reference) <= math.ulp(reference)
 
 
 def test_free_mass_round_trip_via_123_nev(neutron):
@@ -221,6 +227,126 @@ def test_mass_fit_without_sign_change_raises():
         fit_effective_mass(
             sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.95 * M0, 1.3 * M0)
         )
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """Counts the resonance_residual evaluations the mass fit makes."""
+    calls = [0]
+
+    def counted(sys, E):
+        calls[0] += 1
+        return resonance_residual(sys, E)
+
+    monkeypatch.setattr(resonance_module, "resonance_residual", counted)
+    return calls
+
+
+def test_neutron_fit_takes_at_most_14_residual_evaluations(residual_calls):
+    # Bisection to adjacent floats took 55 on this fit.
+    sys0 = neutron_system()
+    fit_effective_mass(
+        sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.5 * M0, 1.5 * M0)
+    )
+    assert residual_calls[0] <= 14
+
+
+def _bisected_mass(g, lo: float, hi: float) -> tuple[float, int]:
+    """Reference fit: plain bisection of g down to adjacent floats. Returns
+    the end with the smaller |g| and the number of evaluations of g."""
+    flo, fhi, evaluations = g(lo), g(hi), 2
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        fmid = g(mid)
+        evaluations += 1
+        if fmid == 0.0:
+            return mid, evaluations
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return (lo if abs(flo) <= abs(fhi) else hi), evaluations
+
+
+def _sign_changes(values) -> int:
+    """Changes of sign (-1, 0 or +1) along a sequence; an exact zero counts."""
+    signs = [(v > 0.0) - (v < 0.0) for v in values]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _floats_around(x: float, n: int) -> list[float]:
+    """The n floats below x, x, and the n floats above it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def test_mass_fit_matches_bisection_on_seeded_brackets(residual_calls):
+    # a 20-600 A and L 1-3000 A (log-uniform), U0 50-500 neV, E 0.01-0.99 U0,
+    # bracket 0.5-1.5 m_n. A bracket holds one sign change when 257 even
+    # samples and the 33 floats centred on the bisected root each show one.
+    # Near some roots g is rounding noise and changes sign several times
+    # within a few ulp; there, and where the bracket holds several roots,
+    # the fit need only return a sign change of g.
+    rng = random.Random(1971)
+    single = several = 0
+    while single < 300:
+        a = math.exp(rng.uniform(math.log(20.0), math.log(600.0))) * 1e-10
+        L = math.exp(rng.uniform(math.log(1.0), math.log(3000.0))) * 1e-10
+        U0 = joule_from_nev(rng.uniform(50.0, 500.0))
+        E = rng.uniform(0.01, 0.99) * U0
+        lo, hi = 0.5 * M0, 1.5 * M0
+
+        def g(m):
+            return resonance_residual(BarrierSystem(a=a, U0=U0, L=L, m=m), E)
+
+        if (g(lo) < 0.0) == (g(hi) < 0.0):
+            with pytest.raises(MassFitError):
+                fit_effective_mass(a, U0, L, E, (lo, hi))
+            continue
+        reference, bisection_evaluations = _bisected_mass(g, lo, hi)
+        residual_calls[0] = 0
+        m = fit_effective_mass(a, U0, L, E, (lo, hi))
+        coarse = [g(lo + (hi - lo) * i / 256) for i in range(257)]
+        fine = [g(x) for x in _floats_around(reference, 16)]
+        if _sign_changes(coarse) == 1 and _sign_changes(fine) == 1:
+            single += 1
+            assert abs(m - reference) <= 4 * math.ulp(reference)
+            assert residual_calls[0] <= bisection_evaluations
+        else:
+            several += 1
+            assert lo <= m <= hi
+            gm = g(m)
+            assert gm == 0.0 or any(
+                (g(x) < 0.0) != (gm < 0.0)
+                for x in (math.nextafter(m, lo), math.nextafter(m, hi))
+            )
+    assert several > 50
+
+
+def test_mass_fit_round_trip_to_1e_12_on_seeded_systems():
+    # a 100-400 A, L 50-2000 A, U0 150-300 neV, E_r target 0.2-0.8 U0: the
+    # fitted system's nearest root reproduces the target to 1e-12 relative.
+    rng = random.Random(1012)
+    fits = 0
+    while fits < 200:
+        a = rng.uniform(100.0, 400.0) * 1e-10
+        L = rng.uniform(50.0, 2000.0) * 1e-10
+        U0 = joule_from_nev(rng.uniform(150.0, 300.0))
+        target = rng.uniform(0.2, 0.8) * U0
+        try:
+            m = fit_effective_mass(a, U0, L, target, (0.5 * M0, 1.5 * M0))
+        except MassFitError:
+            continue
+        fits += 1
+        fitted = BarrierSystem(a=a, U0=U0, L=L, m=m)
+        nearest = min(
+            (r.E_r for r in find_resonances(fitted, *full_window(fitted))),
+            key=lambda E_r: abs(E_r - target),
+        )
+        assert nearest == pytest.approx(target, rel=1e-12, abs=0)
 
 
 def fitted_neutron():

@@ -158,7 +158,6 @@ def test_profile_record_semantics(neutron):
     profile = PotentialProfile(segments=((1e-8, 1e-26), (2e-9, 0.0)), m=M0)
     assert profile == PotentialProfile(((1e-8, 1e-26), (2e-9, 0.0)), M0)
     assert profile == (((1e-8, 1e-26), (2e-9, 0.0)), M0)
-    assert profile.total_width == 1e-8 + 2e-9
     assert profile._replace(m=2 * M0).m == 2 * M0
     copy = pickle.loads(pickle.dumps(double_barrier_profile(neutron)))
     assert type(copy) is PotentialProfile and copy == double_barrier_profile(neutron)
