@@ -3,12 +3,12 @@
 Everything internal is SI; angstrom/neV conversions happen only at the CLI
 and report boundaries, through the helpers of `constants`, whose values
 (CODATA 2018 and the exact SI units) are fixed. Every public record is an
-immutable NamedTuple: cheap to build once per energy point, and cheap to
-import, since the package never loads `dataclasses` (which brings in
-`inspect`). BarrierSystem and PotentialProfile validate in `__new__`, so
-`_replace` checks its fields as construction does. All operations are pure
-functions of their inputs, so the API is safe for concurrent use without
-synchronization.
+immutable NamedTuple, cheap to import since the package never loads
+`dataclasses` (which brings in `inspect`); the per-energy records are built
+by `tuple.__new__` (see the kinematics module). BarrierSystem and
+PotentialProfile validate in `__new__`, so `_replace` checks its fields as
+construction does. All operations are pure functions of their inputs, so
+the API is safe for concurrent use without synchronization.
 """
 
 from __future__ import annotations

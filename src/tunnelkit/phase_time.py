@@ -72,14 +72,12 @@ def _phase_time_of(sc: ScaledDenominator, L: float) -> PhaseTimeBreakdown:
     Lets a caller that needs both the probability and the phase-time at one
     energy evaluate scaled_denominator once.
     """
-    kin = sc.kin
-    e, w = sc.e_neg, sc.w_scaled
+    (_, k, _, _, _, hbar, m), log_scale, e, w, w_k, _, chi_k, c, s, den = sc
     # (tau hbar k / m + chi') |D|^2 exp(-4qa): the two terms that carry L
-    gap = e * ((L - sc.chi_k) * (e + 2.0 * w) - 2.0 * sc.w_k_scaled * sc.sin_psi * sc.cos_psi)
-    den = sc.mod_sq_scaled
-    total = (kin.m / (kin.hbar * kin.k)) * (gap / den - sc.chi_k)
-    scale4 = _exp(2.0 * sc.log_scale)
-    return PhaseTimeBreakdown(total, (gap - sc.chi_k * den) * scale4, den * scale4)
+    gap = e * ((L - chi_k) * (e + 2.0 * w) - 2.0 * w_k * s * c)
+    total = (m / (hbar * k)) * (gap / den - chi_k)
+    scale4 = _exp(2.0 * log_scale)
+    return tuple.__new__(PhaseTimeBreakdown, (total, (gap - chi_k * den) * scale4, den * scale4))
 
 
 def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> float:
@@ -110,15 +108,16 @@ def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
     evaluating.
     """
     sc = _certified(sys, res.E_r)
-    kin = sc.kin
-    bracket = sc.e_neg * sys.L + 2.0 * sc.width_bracket(sys.L)
-    return (kin.m / (kin.hbar * kin.k)) * bracket * math.exp(sc.log_scale)
+    (_, k, _, _, _, hbar, m), log_scale, e, _, _, _, _, _, _, _ = sc
+    L = sys.L
+    bracket = e * L + 2.0 * sc.width_bracket(L)
+    return (m / (hbar * k)) * bracket * math.exp(log_scale)
 
 
 def hartman_limit(sys: BarrierSystem, E: float) -> float:
     """Opaque-barrier phase-time plateau 2m / (hbar k q)."""
-    kin = kinematics(sys, E)
-    return 2.0 * kin.m / (kin.hbar * kin.k * kin.q)
+    _, k, q, _, _, hbar, m = kinematics(sys, E)
+    return 2.0 * m / (hbar * k * q)
 
 
 def phase_time_opaque(sys: BarrierSystem, E: float) -> float:
@@ -145,10 +144,10 @@ def phase_time_opaque(sys: BarrierSystem, E: float) -> float:
 def _phase_time_opaque_of(sc: ScaledDenominator, L: float) -> float:
     """phase_time_opaque from an already evaluated denominator of gap L."""
     _require_opaque(sc)
-    c, w = sc.cos_psi, sc.w_scaled
+    (_, k, _, _, _, hbar, m), _, e, w, w_k, _, chi_k, c, s, _ = sc
     den = 2.0 * w * (c * c)
-    gap = sc.e_neg * (L - sc.chi_k - (sc.w_k_scaled / w) * sc.sin_psi * c) / den
-    return (sc.kin.m / (sc.kin.hbar * sc.kin.k)) * (gap - sc.chi_k)
+    gap = e * (L - chi_k - (w_k / w) * s * c) / den
+    return (m / (hbar * k)) * (gap - chi_k)
 
 
 def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:
@@ -176,8 +175,9 @@ def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:
             f"({E_lo}, {E_hi})"
         )
     lo, hi = scaled_denominator(sys, E_lo), scaled_denominator(sys, E_hi)
-    kin = lo.kin
+    (_, k_lo, _, _, _, hbar, m), _, _, _, _, chi_lo, _, _, _, _ = lo
+    (_, k_hi, _, _, _, _, _), _, _, _, _, chi_hi, _, _, _, _ = hi
     dE = E_hi - E_lo
-    d_kl = 2.0 * kin.m * sys.L * dE / (kin.hbar * kin.hbar * (lo.kin.k + hi.kin.k))
-    d_bounded = 2.0 * (hi.chi - lo.chi) + (_arg_z(hi) - _arg_z(lo))
-    return kin.hbar * (d_kl - d_bounded) / dE
+    d_kl = 2.0 * m * sys.L * dE / (hbar * hbar * (k_lo + k_hi))
+    d_bounded = 2.0 * (chi_hi - chi_lo) + (_arg_z(hi) - _arg_z(lo))
+    return hbar * (d_kl - d_bounded) / dE

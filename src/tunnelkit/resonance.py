@@ -74,10 +74,9 @@ class Resonance(NamedTuple):
 
 def resonance_residual(sys: BarrierSystem, E: float) -> float:
     """cos(kL) + (delta/2) tanh(qa) sin(kL); zero exactly at resonances."""
-    kin = kinematics(sys, E)
-    return math.cos(kin.k * sys.L) + 0.5 * kin.delta * math.tanh(
-        kin.q * sys.a
-    ) * math.sin(kin.k * sys.L)
+    _, k, q, delta, _, _, _ = kinematics(sys, E)
+    a, _, L, _ = sys
+    return math.cos(k * L) + 0.5 * delta * math.tanh(q * a) * math.sin(k * L)
 
 
 def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
@@ -130,9 +129,10 @@ def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
 
 def _psi(sys: BarrierSystem, E: float) -> float:
     """psi = kL - chi, increasing in E, rounded exactly as in scaled_denominator."""
-    kin = kinematics(sys, E)
-    two_qa = 2.0 * kin.q * sys.a
-    return kin.k * sys.L - _chi(kin.delta, math.exp(-two_qa), -math.expm1(-two_qa))
+    _, k, q, delta, _, _, _ = kinematics(sys, E)
+    a, _, L, _ = sys
+    two_qa = 2.0 * q * a
+    return k * L - _chi(delta, math.exp(-two_qa), -math.expm1(-two_qa))
 
 
 def _branch_offset(sys: BarrierSystem, n: int):
@@ -223,10 +223,13 @@ def fit_effective_mass(
     if not (0.0 < m_lo < m_hi):
         raise DomainError(f"mass bracket must satisfy 0 < lo < hi, got {m_bracket}")
 
+    # Only the bracket ends go through BarrierSystem's checks: every mass strictly
+    # between two valid ends is finite and positive, so g builds its system unchecked.
     def g(m: float) -> float:
-        return resonance_residual(BarrierSystem(a=a, U0=U0, L=L, m=m), E_r_target)
+        return resonance_residual(tuple.__new__(BarrierSystem, (a, U0, L, m)), E_r_target)
 
-    g_lo, g_hi = g(m_lo), g(m_hi)
+    g_lo = resonance_residual(BarrierSystem(a, U0, L, m_lo), E_r_target)
+    g_hi = resonance_residual(BarrierSystem(a, U0, L, m_hi), E_r_target)
     if g_lo == 0.0:
         return m_lo
     if g_hi == 0.0:

@@ -25,9 +25,8 @@ opaque regime never overflows: at qa ~ 700 the probability underflows to
 zero while the phase-time stays exact.
 
 The per-energy records (ScaledDenominator, TransmissionResult) are
-immutable NamedTuples, like every public record of the package, and are
-built positionally: keyword construction costs about twice as much, and
-would show in the time of one energy point.
+immutable NamedTuples, built and read by the construction rule stated in
+the kinematics module: one `tuple.__new__` call, one unpacking.
 """
 
 from __future__ import annotations
@@ -104,8 +103,9 @@ def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
         w'   = -(sigma^2 / 2q) (delta sinh^2(qa) + k a cosh(qa) sinh(qa)).
     """
     kin = kinematics(sys, E)
-    k, q, delta, s2 = kin.k, kin.q, kin.delta, kin.sigma_sq
-    a = sys.a
+    _, k, q, delta, sigma, _, _ = kin
+    s2 = sigma * sigma
+    a, _, L, _ = sys
     two_qa = 2.0 * q * a
     e = math.exp(-two_qa)
     p = -math.expm1(-two_qa)   # 1 - e, accurate for small qa
@@ -115,10 +115,10 @@ def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
     w_k = -(s2 / (2.0 * q)) * (0.25 * delta * p * p + ka * chsh)
     chi = _chi(delta, e, p)
     chi_k = -(s2 * chsh + delta * ka * e) / (2.0 * q * (e + w))
-    psi = k * sys.L - chi
+    psi = k * L - chi
     c, s = math.cos(psi), math.sin(psi)
     mod_sq = e * e + 4.0 * w * (e + w) * c * c
-    return ScaledDenominator(kin, two_qa, e, w, w_k, chi, chi_k, c, s, mod_sq)
+    return tuple.__new__(ScaledDenominator, (kin, two_qa, e, w, w_k, chi, chi_k, c, s, mod_sq))
 
 
 def _scaled_z(sc: ScaledDenominator) -> complex:
@@ -134,11 +134,13 @@ def _arg_z(sc: ScaledDenominator) -> float:
 
 def amplitude(sys: BarrierSystem, E: float) -> TransmissionResult:
     """Transmitted amplitude exp(-2ika)/D and probability 1/|D|^2."""
-    sc = scaled_denominator(sys, E)
-    # exp(-2ika)/D = exp(-2i(ka + chi)) e conj(z)/|z|^2 with z = _scaled_z(sc).
-    num = _scaled_z(sc).conjugate() * (sc.e_neg / sc.mod_sq_scaled)
-    amp = cmath.exp(-2j * (sc.kin.k * sys.a + sc.chi)) * num
-    return TransmissionResult(amp, math.exp(-sc.log_mod_squared))
+    (_, k, _, _, _, _, _), log_scale, e, w, _, chi, _, c, s, mod_sq = scaled_denominator(sys, E)
+    # exp(-2ika)/D = exp(-2i(ka + chi)) e conj(z)/|z|^2, as _scaled_z and log_mod_squared
+    two_wc = 2.0 * w * c
+    num = complex(e + two_wc * c, two_wc * s).conjugate() * (e / mod_sq)
+    amp = cmath.exp(-2j * (k * sys.a + chi)) * num
+    log_mod_sq = 2.0 * log_scale + math.log(mod_sq)
+    return tuple.__new__(TransmissionResult, (amp, math.exp(-log_mod_sq)))
 
 
 def probability(sys: BarrierSystem, E: float) -> float:

@@ -229,6 +229,32 @@ def test_mass_fit_without_sign_change_raises():
         )
 
 
+@pytest.mark.parametrize(
+    "changed",
+    [
+        {"m_bracket": (0.5 * M0, math.inf)},
+        {"a": math.nan},
+        {"L": -1e-10},
+        {"U0": math.inf},
+    ],
+    ids=["infinite-upper-mass", "nan-width", "negative-gap", "infinite-height"],
+)
+def test_mass_fit_checks_the_system_at_both_bracket_ends(changed):
+    # The fit builds the masses between the two ends without BarrierSystem's
+    # checks, so the ends must still reject what the checks reject.
+    sys0 = neutron_system()
+    args = dict(
+        a=sys0.a,
+        U0=sys0.U0,
+        L=sys0.L,
+        E_r_target=joule_from_nev(127.0),
+        m_bracket=(0.5 * M0, 1.5 * M0),
+    )
+    args.update(changed)
+    with pytest.raises(DomainError):
+        fit_effective_mass(**args)
+
+
 @pytest.fixture
 def residual_calls(monkeypatch):
     """Counts the resonance_residual evaluations the mass fit makes."""
