@@ -37,7 +37,6 @@ from .phase_time import (
     average_phase_time,
     hartman_limit,
     phase_time,
-    phase_time_at_resonance,
     phase_time_numeric,
     phase_time_opaque,
 )
@@ -48,6 +47,7 @@ from .resonance import (
     bw_probability,
     find_resonances,
     fit_effective_mass,
+    phase_time_at_resonance,
     resonance_residual,
 )
 from .scatter_oracle import (
@@ -108,7 +108,6 @@ __all__ = [
     "PhaseTimeBreakdown",
     "phase_time",
     "phase_time_numeric",
-    "phase_time_at_resonance",
     "phase_time_opaque",
     "average_phase_time",
     "hartman_limit",
@@ -118,6 +117,7 @@ __all__ = [
     "find_resonances",
     "fit_effective_mass",
     "breit_wigner_width",
+    "phase_time_at_resonance",
     "bw_probability",
     "bw_phase_time",
     # transfer-matrix reference engine

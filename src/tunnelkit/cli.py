@@ -31,13 +31,14 @@ from .constants import (
 )
 from .errors import DomainError, TunnelkitError
 from .kinematics import BarrierSystem
-from .phase_time import _phase_time_of, phase_time, phase_time_at_resonance, phase_time_numeric
+from .phase_time import _phase_time_of, phase_time, phase_time_numeric
 from .resonance import find_resonances, fit_effective_mass
 from .scatter_oracle import double_barrier_profile, solve
 from .scenarios import (
     NEUTRON_BARRIER_HEIGHT_NEV,
     NEUTRON_BARRIER_WIDTH_ANGSTROM,
     NEUTRON_GAP_ANGSTROM,
+    NEUTRON_MASS_BRACKET,
     hartman_sweep,
     run_neutron_scenario,
 )
@@ -66,7 +67,7 @@ NEUTRON_CHECKS = (
     ("tau_avg", 2.2355201441e-7, 1e-9, "rel"),
 )
 
-_SYSTEM_FIELDS = {"a_angstrom", "U0_neV", "L_angstrom", "mass_ratio"}
+# In BarrierSystem.from_lab_units' argument order.
 _DEFAULT_SYSTEM = {
     "a_angstrom": NEUTRON_BARRIER_WIDTH_ANGSTROM,
     "U0_neV": NEUTRON_BARRIER_HEIGHT_NEV,
@@ -124,28 +125,16 @@ def _section(config: dict, name: str) -> dict:
 
 def _build_system(args, config: dict) -> BarrierSystem:
     section = _section(config, "system")
-    unknown = set(section) - _SYSTEM_FIELDS
+    unknown = set(section) - _DEFAULT_SYSTEM.keys()
     if unknown:
         raise ConfigError(f"unknown system field(s): {sorted(unknown)}")
-    merged = dict(_DEFAULT_SYSTEM)
-    for field in _SYSTEM_FIELDS:
-        merged[field] = _number(section, field, merged[field])
-    # command-line flags win over file values
-    if args.a is not None:
-        merged["a_angstrom"] = args.a
-    if args.l is not None:
-        merged["L_angstrom"] = args.l
-    if args.u0 is not None:
-        merged["U0_neV"] = args.u0
-    if args.mass_ratio is not None:
-        merged["mass_ratio"] = args.mass_ratio
+    flags = (args.a, args.u0, args.l, args.mass_ratio)
+    values = [
+        _number(section, field, default, flag)
+        for (field, default), flag in zip(_DEFAULT_SYSTEM.items(), flags)
+    ]
     try:
-        return BarrierSystem.from_lab_units(
-            merged["a_angstrom"],
-            merged["U0_neV"],
-            merged["L_angstrom"],
-            merged["mass_ratio"],
-        )
+        return BarrierSystem.from_lab_units(*values)
     except DomainError as exc:
         raise ConfigError(f"invalid system parameters: {exc}") from exc
 
@@ -204,13 +193,8 @@ def cmd_resonances(args, config: dict) -> int:
     e_max = _number(section, "e_max_neV", 0.999 * nev_from_joule(sys_.U0), args.emax)
 
     if args.fit_mass is not None:
-        m = fit_effective_mass(
-            sys_.a,
-            sys_.U0,
-            sys_.L,
-            joule_from_nev(args.fit_mass),
-            (0.5 * CODATA2018.m_neutron, 1.5 * CODATA2018.m_neutron),
-        )
+        target = joule_from_nev(_number(section, "fit_mass", 0.0, args.fit_mass))
+        m = fit_effective_mass(sys_.a, sys_.U0, sys_.L, target, NEUTRON_MASS_BRACKET)
         sys.stdout.write(
             json.dumps({"fitted_mass_ratio": m / CODATA2018.m_neutron}, indent=2) + "\n"
         )
@@ -221,7 +205,7 @@ def cmd_resonances(args, config: dict) -> int:
         {
             "E_r_neV": nev_from_joule(r.E_r),
             "beta_neV": nev_from_joule(r.beta),
-            "tau_r_s": phase_time_at_resonance(sys_, r),
+            "tau_r_s": r.tau_r,
         }
         for r in found
     ]

@@ -142,7 +142,10 @@ def kinematics(sys: BarrierSystem, E: float) -> Kinematics:
     """Evaluate k, q, delta, sigma at energy E, requiring 0 < E < U0.
 
     Energies at or above the barrier top are out of scope (q would turn
-    imaginary) and raise DomainError.
+    imaginary) and raise DomainError, as do energies so close to either end
+    that 2mE or 2m(U0 - E) rounds to zero. Otherwise k and q are both above
+    1e-128 (the root of the smallest double, over hbar), so k q is a normal
+    double.
     """
     _, U0, _, m = sys
     if not E > 0.0:
@@ -154,8 +157,11 @@ def kinematics(sys: BarrierSystem, E: float) -> Kinematics:
     hbar = CODATA2018.hbar
     k = math.sqrt(2.0 * m * E) / hbar
     q = math.sqrt(2.0 * m * (U0 - E)) / hbar
-    delta = (q * q - k * k) / (k * q)
-    sigma = (k * k + q * q) / (k * q)
+    kq = k * q
+    if not kq > 0.0:
+        raise DomainError(f"energy {E} J too close to 0 or to U0={U0} J: k q underflows to 0")
+    delta = (q * q - k * k) / kq
+    sigma = (k * k + q * q) / kq
     return tuple.__new__(Kinematics, (E, k, q, delta, sigma, hbar, m))
 
 

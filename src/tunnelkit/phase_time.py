@@ -20,7 +20,9 @@ it collapses to
 
     tau_r = (m / hbar k) [ (1 + 2w)(L - chi') - chi' ],
 
-which is the free flight mL/(hbar k) plus hbar/beta.
+which is the free flight mL/(hbar k) plus hbar/beta. The resonance module
+evaluates it, with beta, from the record that certifies the root
+(phase_time_at_resonance and Resonance.tau_r).
 
 The numeric route is a central difference of the continuous phase
 phi = kL - 2 chi - arg z, which is exactly the mean phase-time over its
@@ -38,14 +40,12 @@ from typing import NamedTuple
 
 from .errors import DomainError, StepError
 from .kinematics import BarrierSystem, _exp, kinematics
-from .resonance import Resonance, _certified
 from .transmission import ScaledDenominator, _arg_z, _require_opaque, scaled_denominator
 
 __all__ = [
     "PhaseTimeBreakdown",
     "phase_time",
     "phase_time_numeric",
-    "phase_time_at_resonance",
     "phase_time_opaque",
     "average_phase_time",
     "hartman_limit",
@@ -76,6 +76,8 @@ def _phase_time_of(sc: ScaledDenominator, L: float) -> PhaseTimeBreakdown:
     # (tau hbar k / m + chi') |D|^2 exp(-4qa): the two terms that carry L
     gap = e * ((L - chi_k) * (e + 2.0 * w) - 2.0 * w_k * s * c)
     total = (m / (hbar * k)) * (gap / den - chi_k)
+    if not math.isfinite(total):
+        raise _overflow(sc, total)
     scale4 = _exp(2.0 * log_scale)
     return tuple.__new__(PhaseTimeBreakdown, (total, (gap - chi_k * den) * scale4, den * scale4))
 
@@ -97,21 +99,6 @@ def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> 
             f"stencil [{lo}, {hi}] J leaves (0, {sys.U0}); reduce rel_step"
         )
     return average_phase_time(sys, lo, hi)
-
-
-def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
-    """tau_r = (m / hbar k) [(1 + 2w)(L - chi') - chi'] = (m / hbar k)(L + 2G).
-
-    G = wL - (1+w) chi' is the record's width bracket. Only meaningful at a
-    genuine transparency point, so the resonance is re-certified (|A_T|^2
-    within CERTIFICATION_TOL of unity, as find_resonances requires) before
-    evaluating.
-    """
-    sc = _certified(sys, res.E_r)
-    (_, k, _, _, _, hbar, m), log_scale, e, _, _, _, _, _, _, _ = sc
-    L = sys.L
-    bracket = e * L + 2.0 * sc.width_bracket(L)
-    return (m / (hbar * k)) * bracket * math.exp(log_scale)
 
 
 def hartman_limit(sys: BarrierSystem, E: float) -> float:
@@ -147,7 +134,16 @@ def _phase_time_opaque_of(sc: ScaledDenominator, L: float) -> float:
     (_, k, _, _, _, hbar, m), _, e, w, w_k, _, chi_k, c, s, _ = sc
     den = 2.0 * w * (c * c)
     gap = e * (L - chi_k - (w_k / w) * s * c) / den
-    return (m / (hbar * k)) * (gap - chi_k)
+    total = (m / (hbar * k)) * (gap - chi_k)
+    if not math.isfinite(total):
+        raise _overflow(sc, total)
+    return total
+
+
+def _overflow(sc: ScaledDenominator, total: float) -> DomainError:
+    """For a phase-time that came out inf or nan: sigma^2 ~ U0/E has pushed the
+    scaled record (w~', |D|^2 e^2) past the double range, at E/U0 below ~1e-150."""
+    return DomainError(f"phase-time is {total} at E={sc.kin.E} J: the scaled record overflows")
 
 
 def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:

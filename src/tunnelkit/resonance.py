@@ -19,7 +19,12 @@ D = C_r (E - E_r + i beta) with |D(E_r)| = 1, so beta = 1/|D'(E_r)|:
 (chi' = d chi/dk; G is the scaled record's width_bracket), which turns the
 transmission into the Lorentzian beta^2/((E-E_r)^2+beta^2) and adds
 hbar beta/((E-E_r)^2+beta^2) of time delay on top of the free flight over
-the gap. The tests check beta and tau_r against an independent mpmath
+the gap: the phase-time at the root is tau_r = (m / hbar k)(L + 2G).
+
+One private builder, _resonance, makes every Resonance from one record at
+E_r: it certifies the root and reads G once for both beta and tau_r, and
+find_resonances, breit_wigner_width and phase_time_at_resonance all go
+through it. The tests check beta and tau_r against an independent mpmath
 evaluation of 1/|D'(E_r)| and of the phase-time (tests/neutron_reference.py).
 
 Root search: chi decreases with k at every energy (chi' < 0), so psi is
@@ -47,7 +52,7 @@ from .errors import (
     ResonanceValidationError,
 )
 from .kinematics import BarrierSystem, kinematics
-from .transmission import ScaledDenominator, _chi, scaled_denominator
+from .transmission import _chi, scaled_denominator
 
 __all__ = [
     "Resonance",
@@ -56,6 +61,7 @@ __all__ = [
     "find_resonances",
     "fit_effective_mass",
     "breit_wigner_width",
+    "phase_time_at_resonance",
     "bw_probability",
     "bw_phase_time",
 ]
@@ -64,12 +70,14 @@ CERTIFICATION_TOL = 1e-9
 
 
 class Resonance(NamedTuple):
-    """A certified transparency point: energy, wavenumber, half-width, ordinal."""
+    """A certified transparency point: energy, wavenumber, half-width, ordinal
+    and phase-time."""
 
     E_r: float     # J
     k_r: float     # 1/m
     beta: float    # J
     index: int
+    tau_r: float   # s
 
 
 def resonance_residual(sys: BarrierSystem, E: float) -> float:
@@ -150,9 +158,14 @@ def _branch_offset(sys: BarrierSystem, n: int):
     return offset
 
 
-def _certified(sys: BarrierSystem, E_r: float) -> ScaledDenominator:
-    """The record at E_r, once |A_T|^2 there is within CERTIFICATION_TOL of
-    unity; raises ResonanceValidationError otherwise."""
+def _resonance(sys: BarrierSystem, E_r: float, index: int) -> Resonance:
+    """The Resonance at E_r, from one record: certified, then beta and tau_r
+    read from its width bracket G.
+
+    Raises ResonanceValidationError unless |A_T|^2 is within
+    CERTIFICATION_TOL of unity there, and DegenerateResonanceError unless
+    G > 0.
+    """
     sc = scaled_denominator(sys, E_r)
     p = math.exp(-sc.log_mod_squared)
     if abs(p - 1.0) > CERTIFICATION_TOL:
@@ -161,7 +174,14 @@ def _certified(sys: BarrierSystem, E_r: float) -> ScaledDenominator:
             f"(> {CERTIFICATION_TOL}); not a resonance, or one too narrow to "
             "place in double precision"
         )
-    return sc
+    (_, k, _, _, _, hbar, m), log_scale, e, _, _, _, _, _, _, _ = sc
+    L = sys.L
+    bracket = sc.width_bracket(L)
+    if bracket <= 0.0:
+        raise DegenerateResonanceError(f"width bracket {bracket} <= 0 at E_r={E_r} J")
+    beta = (hbar**2 * k / (2.0 * m)) * e / bracket
+    tau_r = (m / (hbar * k)) * (e * L + 2.0 * bracket) * math.exp(log_scale)
+    return Resonance(E_r, k, beta, index, tau_r)
 
 
 def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Resonance]:
@@ -184,10 +204,7 @@ def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Reso
     for n in range(math.floor(psi_lo / math.pi - 0.5) + 1, math.ceil(psi_hi / math.pi - 0.5)):
         target = (n + 0.5) * math.pi
         root = _bisect(_branch_offset(sys, n), lo, E_max, psi_lo - target, psi_hi - target)
-        sc = _certified(sys, root)
-        results.append(
-            Resonance(E_r=root, k_r=sc.kin.k, beta=_width(sc, sys.L), index=len(results))
-        )
+        results.append(_resonance(sys, root, len(results)))
         lo, psi_lo = root, target
     return results
 
@@ -241,17 +258,6 @@ def fit_effective_mass(
     return _illinois(g, m_lo, m_hi, g_lo, g_hi)
 
 
-def _width(sc: ScaledDenominator, L: float) -> float:
-    """beta = hbar^2 k / (2m G) from the record at a certified root."""
-    bracket = sc.width_bracket(L)
-    if bracket <= 0.0:
-        raise DegenerateResonanceError(
-            f"width bracket {bracket} <= 0 at E_r={sc.kin.E} J"
-        )
-    kin = sc.kin
-    return (kin.hbar**2 * kin.k / (2.0 * kin.m)) * sc.e_neg / bracket
-
-
 def breit_wigner_width(sys: BarrierSystem, res: Resonance) -> float:
     """Half-width beta of the Lorentzian transmission profile.
 
@@ -260,7 +266,18 @@ def breit_wigner_width(sys: BarrierSystem, res: Resonance) -> float:
     gracefully instead of overflowing. Like find_resonances, it first
     certifies |A_T(E_r)|^2 = 1 within CERTIFICATION_TOL.
     """
-    return _width(_certified(sys, res.E_r), sys.L)
+    return _resonance(sys, res.E_r, res.index).beta
+
+
+def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
+    """tau_r = (m / hbar k) [(1 + 2w)(L - chi') - chi'] = (m / hbar k)(L + 2G).
+
+    G = wL - (1+w) chi' is the record's width bracket. Only meaningful at a
+    genuine transparency point, so the resonance is re-certified (|A_T|^2
+    within CERTIFICATION_TOL of unity, as find_resonances requires) before
+    evaluating, and G must be positive, as for breit_wigner_width.
+    """
+    return _resonance(sys, res.E_r, res.index).tau_r
 
 
 def bw_probability(res: Resonance, E: float) -> float:

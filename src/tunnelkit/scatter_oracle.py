@@ -143,9 +143,10 @@ def _segment_kappa(E: float, height: float, m: float, hbar: float) -> complex:
             f"energy {E} J coincides with segment height {height} J; "
             "perturb E to restore plane-wave matching"
         )
-    if E > height:
-        return complex(math.sqrt(2.0 * m * (E - height)) / hbar, 0.0)
-    return complex(0.0, math.sqrt(2.0 * m * (height - E)) / hbar)
+    kappa = math.sqrt(2.0 * m * abs(E - height)) / hbar
+    if kappa == 0.0:
+        raise DomainError(f"wavenumber underflows to 0 at E={E} J, segment height {height} J")
+    return complex(kappa, 0.0) if E > height else complex(0.0, kappa)
 
 
 def transfer_matrix(profile: PotentialProfile, E: float) -> TransferMatrix:

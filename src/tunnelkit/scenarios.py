@@ -26,12 +26,7 @@ from typing import Literal, NamedTuple, Optional
 from .constants import CODATA2018, angstrom_from_metre, joule_from_nev, nev_from_joule
 from .errors import DomainError, OpaqueBracketError
 from .kinematics import BarrierSystem
-from .phase_time import (
-    _phase_time_of,
-    _phase_time_opaque_of,
-    average_phase_time,
-    phase_time_at_resonance,
-)
+from .phase_time import _phase_time_of, _phase_time_opaque_of, average_phase_time
 from .resonance import find_resonances, fit_effective_mass
 from .transmission import scaled_denominator
 
@@ -39,6 +34,7 @@ __all__ = [
     "NEUTRON_BARRIER_WIDTH_ANGSTROM",
     "NEUTRON_BARRIER_HEIGHT_NEV",
     "NEUTRON_GAP_ANGSTROM",
+    "NEUTRON_MASS_BRACKET",
     "MEASURED_ANNOTATIONS",
     "NeutronReport",
     "SweepRow",
@@ -54,6 +50,8 @@ NEUTRON_BARRIER_WIDTH_ANGSTROM = 300.0
 NEUTRON_BARRIER_HEIGHT_NEV = 230.0
 NEUTRON_GAP_ANGSTROM = 195.0
 NEUTRON_TARGET_E_R_NEV = 127.0
+# Effective masses (kg) the fit searches: 0.5 to 1.5 free neutron masses.
+NEUTRON_MASS_BRACKET = (0.5 * CODATA2018.m_neutron, 1.5 * CODATA2018.m_neutron)
 
 # Experimental reference numbers, annotation-only.
 MEASURED_ANNOTATIONS = {
@@ -136,23 +134,16 @@ def run_neutron_scenario() -> NeutronReport:
     e_r_free_nev = nev_from_joule(free_res[0].E_r)
 
     target = joule_from_nev(NEUTRON_TARGET_E_R_NEV)
-    m_fit = fit_effective_mass(
-        free.a,
-        free.U0,
-        free.L,
-        target,
-        (0.5 * CODATA2018.m_neutron, 1.5 * CODATA2018.m_neutron),
-    )
+    m_fit = fit_effective_mass(free.a, free.U0, free.L, target, NEUTRON_MASS_BRACKET)
     fitted = free._replace(m=m_fit)
     (res,) = find_resonances(fitted, *window)
 
-    tau_r = phase_time_at_resonance(fitted, res)
     tau_avg = average_phase_time(fitted, res.E_r - res.beta, res.E_r + res.beta)
     return NeutronReport(
         E_r_free_mass=e_r_free_nev,
         fitted_mass_ratio=m_fit / CODATA2018.m_neutron,
         beta=nev_from_joule(res.beta),
-        tau_r=tau_r,
+        tau_r=res.tau_r,
         tau_avg=tau_avg,
     )
 

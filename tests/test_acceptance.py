@@ -29,7 +29,6 @@ from tunnelkit.phase_time import (
     average_phase_time,
     hartman_limit,
     phase_time,
-    phase_time_at_resonance,
     phase_time_numeric,
 )
 from tunnelkit.resonance import (
@@ -37,6 +36,7 @@ from tunnelkit.resonance import (
     bw_probability,
     find_resonances,
     fit_effective_mass,
+    phase_time_at_resonance,
     resonance_residual,
 )
 from tunnelkit.scatter_oracle import PotentialProfile, double_barrier_profile, solve

@@ -39,6 +39,16 @@ def test_transmission_grid_bound_above_barrier_is_domain_error(capsys):
     assert "domain error" in err
 
 
+def test_transmission_at_energies_too_small_for_doubles_is_domain_error(capsys):
+    # 1e-290 neV is 1.6e-318 J: 2mE rounds to zero, so k does too.
+    code, out, err = run_cli(
+        capsys, "transmission", "--emin", "1e-290", "--emax", "1e-289", "--points", "2"
+    )
+    assert code == 3
+    assert out == ""
+    assert "domain error" in err
+
+
 @pytest.mark.parametrize("flag", ["--a", "--l", "--u0", "--mass-ratio"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_transmission_non_finite_system_is_config_error(capsys, flag, value):
@@ -91,6 +101,14 @@ def test_resonances_fit_mass(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["fitted_mass_ratio"] == pytest.approx(0.926883, abs=1e-4)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_resonances_fit_mass_must_be_finite(capsys, value):
+    code, out, err = run_cli(capsys, "resonances", "--fit-mass", value)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_resonances_prints_its_single_root_without_a_grid(capsys, monkeypatch):

@@ -20,8 +20,8 @@ import pytest
 from mpmath import mp
 
 from tunnelkit.kinematics import BarrierSystem, kinematics
-from tunnelkit.phase_time import phase_time, phase_time_at_resonance
-from tunnelkit.resonance import find_resonances
+from tunnelkit.phase_time import phase_time
+from tunnelkit.resonance import find_resonances, phase_time_at_resonance
 from tunnelkit.transmission import probability
 
 from conftest import neutron_system

@@ -18,15 +18,14 @@ from tunnelkit.phase_time import (
     average_phase_time,
     hartman_limit,
     phase_time,
-    phase_time_at_resonance,
     phase_time_numeric,
     phase_time_opaque,
 )
 from tunnelkit.resonance import (
     CERTIFICATION_TOL,
-    Resonance,
     find_resonances,
     fit_effective_mass,
+    phase_time_at_resonance,
 )
 from tunnelkit.transmission import probability, probability_opaque, scaled_denominator
 
@@ -159,7 +158,7 @@ def test_resonance_delay_exceeds_free_flight():
 
 def test_resonance_validation_guard():
     sys, res = fitted_neutron()
-    fake = Resonance(E_r=1.07 * res.E_r, k_r=res.k_r, beta=res.beta, index=0)
+    fake = res._replace(E_r=1.07 * res.E_r)
     with pytest.raises(ResonanceValidationError):
         phase_time_at_resonance(sys, fake)
 

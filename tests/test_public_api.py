@@ -121,3 +121,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_phase_time_does_not_import_resonance():
+    # tau_r is read with beta from the record that certifies the root, in
+    # resonance; the phase-time layer sits below it.
+    tree = ast.parse((SOURCE / "phase_time.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # "from .resonance import x" and "from . import resonance" alike
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+    assert "resonance" not in imported

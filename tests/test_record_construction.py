@@ -5,7 +5,10 @@ PhaseTimeBreakdown with tuple.__new__ and reads them by unpacking (the
 construction rule in the kinematics module docstring). This file keeps the
 plain path as the reference: the same formulas in the same order, with
 positional NamedTuple construction and attribute reads. Every output must
-have the same repr as the reference's, errors included. A second test
+have the same repr as the reference's, TunnelkitErrors included, wherever
+the reference's result is finite. Where the reference raises another error
+(ZeroDivisionError at the smallest energies) or its result is inf or nan,
+the package must raise DomainError instead. A second test
 fails if a per-energy path goes back to the generated NamedTuple
 constructors, which cost about a fifth of a spectrum point.
 """
@@ -20,7 +23,7 @@ from collections import Counter
 import pytest
 
 from tunnelkit.constants import CODATA2018, joule_from_nev
-from tunnelkit.errors import DomainError, OpaqueBracketError
+from tunnelkit.errors import DomainError, OpaqueBracketError, TunnelkitError
 from tunnelkit.kinematics import BarrierSystem, Kinematics
 from tunnelkit.phase_time import (
     PhaseTimeBreakdown,
@@ -162,11 +165,36 @@ def _outcome(f, *args) -> str:
         return repr(exc)
 
 
+def _expected(ref, checked, *args) -> str:
+    """The reference's outcome, or "DomainError" where it raises an error other
+    than a TunnelkitError or where the numbers `checked` picks out of its
+    result are not all finite."""
+    try:
+        out = ref(*args)
+    except TunnelkitError as exc:
+        return repr(exc)
+    except Exception:
+        return "DomainError"
+    return repr(out) if all(cmath.isfinite(x) for x in checked(out)) else "DomainError"
+
+
+def _agrees(new, ref, checked, *args) -> bool:
+    got, expected = _outcome(new, *args), _expected(ref, checked, *args)
+    if expected == "DomainError":
+        return got.startswith("DomainError(")
+    return got == expected
+
+
+def _sweep_numbers(table) -> list:
+    return [x for row in table.rows for x in (row.probability, row.tau_exact)]
+
+
+# (package function, reference, the numbers of its result that must be finite)
 PAIRS = (
-    (scaled_denominator, ref_scaled_denominator),
-    (amplitude, ref_amplitude),
-    (phase_time, ref_phase_time),
-    (phase_time_opaque, ref_phase_time_opaque),
+    (scaled_denominator, ref_scaled_denominator, lambda sc: ()),
+    (amplitude, ref_amplitude, tuple),
+    (phase_time, ref_phase_time, lambda result: (result.total,)),
+    (phase_time_opaque, ref_phase_time_opaque, lambda tau: (tau,)),
 )
 
 
@@ -191,13 +219,13 @@ def test_per_energy_outputs_match_the_plain_path_bit_for_bit():
         energies += [U0 * rng.random() for _ in range(4)]
         energies += [U0 * 1e-12 ** rng.random() for _ in range(4)]
         for E in energies:
-            for new, ref in PAIRS:
-                assert _outcome(new, sys, E) == _outcome(ref, sys, E), (new.__name__, sys, E)
+            for new, ref, checked in PAIRS:
+                assert _agrees(new, ref, checked, sys, E), (new.__name__, sys, E)
                 compared[new.__name__] += 1
         ordered = sorted(energies)
         for lo, hi in zip(ordered, ordered[1:] + [U0]):  # the last window is invalid
-            assert _outcome(average_phase_time, sys, lo, hi) == _outcome(
-                ref_average_phase_time, sys, lo, hi
+            assert _agrees(
+                average_phase_time, ref_average_phase_time, lambda tau: (tau,), sys, lo, hi
             ), (sys, lo, hi)
             compared["average_phase_time"] += 1
         if i % 10 == 0:
@@ -205,8 +233,8 @@ def test_per_energy_outputs_match_the_plain_path_bit_for_bit():
             base = sys.a if axis == "barrier_width" else max(sys.L, 1e-10)
             values = [base * 1.25**j for j in range(20)]
             E = U0 * rng.uniform(0.05, 0.95)
-            assert _outcome(hartman_sweep, sys, E, axis, values) == _outcome(
-                ref_hartman_sweep, sys, E, axis, values
+            assert _agrees(
+                hartman_sweep, ref_hartman_sweep, _sweep_numbers, sys, E, axis, values
             ), (sys, E, axis)
             compared["hartman_sweep"] += 1
     assert compared["scaled_denominator"] == 20_000

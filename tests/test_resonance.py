@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tunnelkit.constants import CODATA2018, joule_from_nev, nev_from_joule
 from tunnelkit.errors import (
+    DegenerateResonanceError,
     DomainError,
     MassFitError,
     ResonanceValidationError,
@@ -23,9 +24,16 @@ from tunnelkit.resonance import (
     breit_wigner_width,
     find_resonances,
     fit_effective_mass,
+    phase_time_at_resonance,
     resonance_residual,
 )
-from tunnelkit.transmission import amplitude, probability, scaled_denominator
+from tunnelkit.scenarios import run_neutron_scenario
+from tunnelkit.transmission import (
+    ScaledDenominator,
+    amplitude,
+    probability,
+    scaled_denominator,
+)
 
 from conftest import (
     NEUTRON_A_ANGSTROM,
@@ -492,3 +500,63 @@ def test_width_certifies_as_find_resonances_does():
     off = res._replace(E_r=0.5 * sys.U0)
     with pytest.raises(ResonanceValidationError):
         breit_wigner_width(sys, off)
+
+
+# -- one record per root ---------------------------------------------------------
+
+
+def _seeded_systems(n: int):
+    # a 20-900 A, L = 0 or 1-3e4 A, U0 50-400 neV, mass ratio 0.6-1.5
+    rng = random.Random(1616)
+    for i in range(n):
+        L = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(0.0, math.log10(3e4))
+        yield BarrierSystem.from_lab_units(
+            rng.uniform(20.0, 900.0), rng.uniform(50.0, 400.0), L, rng.uniform(0.6, 1.5)
+        )
+
+
+def test_each_root_carries_the_beta_and_tau_r_it_is_certified_with():
+    roots = 0
+    for sys in _seeded_systems(150):
+        try:
+            found = find_resonances(sys, *full_window(sys))
+        except ResonanceValidationError:  # a root too narrow to place
+            continue
+        for res in found:
+            assert res.tau_r == phase_time_at_resonance(sys, res), (sys, res)
+            assert res.beta == breit_wigner_width(sys, res), (sys, res)
+            roots += 1
+    assert roots > 900
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """Counts the scaled_denominator records the resonance module builds."""
+    calls = [0]
+
+    def counted(sys, E):
+        calls[0] += 1
+        return scaled_denominator(sys, E)
+
+    monkeypatch.setattr(resonance_module, "scaled_denominator", counted)
+    return calls
+
+
+def test_one_record_per_root(records):
+    sys = BarrierSystem.from_lab_units(80.0, 230.0, 2e4, 1.0)
+    found = find_resonances(sys, *full_window(sys))
+    assert len(found) > 10
+    assert records[0] == len(found)
+    records[0] = 0
+    run_neutron_scenario()  # one root at the free mass, one at the fitted mass
+    assert records[0] == 2
+
+
+def test_non_positive_width_bracket_is_degenerate_for_beta_and_tau_r(monkeypatch):
+    sys = neutron_system()
+    (res,) = find_resonances(sys, *full_window(sys))
+    monkeypatch.setattr(ScaledDenominator, "width_bracket", lambda self, L: 0.0)
+    with pytest.raises(DegenerateResonanceError):
+        breit_wigner_width(sys, res)
+    with pytest.raises(DegenerateResonanceError):
+        phase_time_at_resonance(sys, res)
