@@ -24,7 +24,6 @@ from typing import Optional
 
 from .constants import (
     CODATA2018,
-    angstrom_from_metre,
     joule_from_nev,
     metre_from_angstrom,
     nev_from_joule,
@@ -251,20 +250,22 @@ def cmd_sweep(args, config: dict) -> int:
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
 
-    values = [
-        metre_from_angstrom(_number(section, "values_angstrom", 0.0, v)) for v in values_ang
-    ]
+    lengths = [_number(section, "values_angstrom", 0.0, v) for v in values_ang]
+    values = [metre_from_angstrom(v) for v in lengths]
     table = hartman_sweep(sys_, joule_from_nev(energy_nev), axis, values)
+    # Energy and lengths echo as given, not converted there and back.
     if fmt == "json":
         doc = table.to_json_dict()
-        doc["energy_neV"] = energy_nev  # as given, not converted there and back
+        doc["energy_neV"] = energy_nev
+        for row, length in zip(doc["rows"], lengths):
+            row["sweep_value_angstrom"] = length
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
         return 0
     lines = ["sweep_value_angstrom,probability,tau_exact_s,tau_asymptotic_s,flagged"]
-    for row in table.rows:
+    for length, row in zip(lengths, table.rows):
         asym = "" if row.tau_asymptotic is None else _fmt12(row.tau_asymptotic)
         lines.append(
-            f"{_fmt12(angstrom_from_metre(row.sweep_value))},{_fmt12(row.probability)},"
+            f"{_fmt12(length)},{_fmt12(row.probability)},"
             f"{_fmt12(row.tau_exact)},{asym},{str(row.flagged).lower()}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
@@ -280,6 +281,9 @@ def cmd_oracle_check(args, config: dict) -> int:
     points = _points(section, 200, args.points)
     amp_tol = _number(section, "amplitude_tolerance", 1e-10, args.amp_tol)
     tau_tol = _number(section, "phase_time_tolerance", 1e-6, args.tau_tol)
+    for field, tol in (("amplitude_tolerance", amp_tol), ("phase_time_tolerance", tau_tol)):
+        if tol < 0.0:
+            raise ConfigError(f"field {field!r} must be >= 0, got {tol!r}")
 
     profile = double_barrier_profile(sys_)
     worst_amp = (0.0, None)

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, StepError
 from .kinematics import BarrierSystem, _exp, kinematics
-from .transmission import ScaledDenominator, _arg_z, _require_opaque, scaled_denominator
+from .transmission import ScaledDenominator, _arg_z, _overflow, _require_opaque, scaled_denominator
 
 __all__ = [
     "PhaseTimeBreakdown",
@@ -77,7 +77,7 @@ def _phase_time_of(sc: ScaledDenominator, L: float) -> PhaseTimeBreakdown:
     gap = e * ((L - chi_k) * (e + 2.0 * w) - 2.0 * w_k * s * c)
     total = (m / (hbar * k)) * (gap / den - chi_k)
     if not math.isfinite(total):
-        raise _overflow(sc, total)
+        raise _overflow(sc, "phase-time", total)
     scale4 = _exp(2.0 * log_scale)
     return tuple.__new__(PhaseTimeBreakdown, (total, (gap - chi_k * den) * scale4, den * scale4))
 
@@ -136,14 +136,8 @@ def _phase_time_opaque_of(sc: ScaledDenominator, L: float) -> float:
     gap = e * (L - chi_k - (w_k / w) * s * c) / den
     total = (m / (hbar * k)) * (gap - chi_k)
     if not math.isfinite(total):
-        raise _overflow(sc, total)
+        raise _overflow(sc, "phase-time", total)
     return total
-
-
-def _overflow(sc: ScaledDenominator, total: float) -> DomainError:
-    """For a phase-time that came out inf or nan: sigma^2 ~ U0/E has pushed the
-    scaled record (w~', |D|^2 e^2) past the double range, at E/U0 below ~1e-150."""
-    return DomainError(f"phase-time is {total} at E={sc.kin.E} J: the scaled record overflows")
 
 
 def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:

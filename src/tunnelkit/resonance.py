@@ -30,14 +30,16 @@ evaluation of 1/|D'(E_r)| and of the phase-time (tests/neutron_reference.py).
 Root search: chi decreases with k at every energy (chi' < 0), so psi is
 strictly increasing and each resonance is the single crossing of one
 branch psi = (n + 1/2) pi. find_resonances counts the branches between
-the window ends and bisects each one, so its cost grows with the number
-of roots, not with a grid, and no root is skipped however densely the
-roots crowd (wide gaps at low energy). The closed form itself stays
-exact at a root; what runs out is the placing of the root: certification
-within 1e-9 needs the root within ~3e-5 beta, which doubles cannot
-resolve once beta/E_r falls to about 3e-12: qa ~ 13.7 at L = 195 A, but
-~ 10.4 at L = 1e5 A, as one ulp of E moves psi by about kL 2^-53.
-find_resonances then raises rather than return an uncertified root.
+the window ends and places each root by the Illinois regula falsi of the
+mass fit, on psi and cos(psi) read from the scaled_denominator record, so
+its cost grows with the number of roots, not with a grid, and no root is
+skipped however densely the roots crowd (wide gaps at low energy). The
+closed form itself stays exact at a root; what runs out is the placing
+of the root: certification within 1e-9 needs the root within ~3e-5 beta,
+which doubles cannot resolve once beta/E_r falls to about 3e-12: qa ~
+13.7 at L = 195 A, but ~ 10.4 at L = 1e5 A, as one ulp of E moves psi by
+about kL 2^-53. find_resonances then raises rather than return an
+uncertified root.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .errors import (
     ResonanceValidationError,
 )
 from .kinematics import BarrierSystem, kinematics
-from .transmission import _chi, scaled_denominator
+from .transmission import scaled_denominator
 
 __all__ = [
     "Resonance",
@@ -87,22 +89,6 @@ def resonance_residual(sys: BarrierSystem, E: float) -> float:
     return math.cos(k * L) + 0.5 * delta * math.tanh(q * a) * math.sin(k * L)
 
 
-def _bisect(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Bisection down to adjacent floats; returns the end where |f| is smaller."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return lo if abs(flo) <= abs(fhi) else hi
-
-
 def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     """Illinois regula falsi (Dowell & Jarratt 1971) down to adjacent floats;
     returns the end where the true |f| is smaller.
@@ -135,25 +121,24 @@ def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def _psi(sys: BarrierSystem, E: float) -> float:
-    """psi = kL - chi, increasing in E, rounded exactly as in scaled_denominator."""
-    _, k, q, delta, _, _, _ = kinematics(sys, E)
-    a, _, L, _ = sys
-    two_qa = 2.0 * q * a
-    return k * L - _chi(delta, math.exp(-two_qa), -math.expm1(-two_qa))
+def _psi(sys: BarrierSystem, E: float) -> tuple[float, float]:
+    """psi = kL - chi and cos(psi), read from the scaled_denominator record at E;
+    psi takes the record's own operations, so it rounds as its cos(psi) does."""
+    (_, k, _, _, _, _, _), _, _, _, _, chi, _, c, _, _ = scaled_denominator(sys, E)
+    return k * sys.L - chi, c
 
 
 def _branch_offset(sys: BarrierSystem, n: int):
     """The function E -> psi(E) - (n + 1/2) pi, or within a radian of it its sine
     (-1)^(n+1) cos(psi), which changes sign where the certified cos(psi) does,
-    not at a rounded target. A closure, so each bisection step makes one call
-    above _psi."""
+    not at a rounded target. A closure, so each step of the root search reads
+    one record."""
     target, sign = (n + 0.5) * math.pi, (-1.0) ** (n + 1)
 
     def offset(E: float) -> float:
-        psi = _psi(sys, E)
+        psi, c = _psi(sys, E)
         d = psi - target
-        return d if abs(d) > 1.0 else sign * math.cos(psi)
+        return d if abs(d) > 1.0 else sign * c
 
     return offset
 
@@ -189,8 +174,9 @@ def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Reso
 
     psi(E) is strictly increasing, so the window holds one root for each
     n with (n + 1/2) pi between psi(E_min) and psi(E_max). Each root is
-    bisected on psi(E) - (n + 1/2) pi over [previous root, E_max], then
-    must pass |A_T|^2 = 1 within 1e-9; a failed certification raises
+    placed by Illinois regula falsi on psi(E) - (n + 1/2) pi over
+    [previous root, E_max], down to adjacent floats, then must pass
+    |A_T|^2 = 1 within 1e-9; a failed certification raises
     ResonanceValidationError (the resonance is too narrow for double
     precision to place).
     """
@@ -198,12 +184,12 @@ def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Reso
         raise DomainError(
             f"window must satisfy 0 < E_min < E_max < U0, got ({E_min}, {E_max})"
         )
-    psi_lo, psi_hi = _psi(sys, E_min), _psi(sys, E_max)
+    (psi_lo, _), (psi_hi, _) = _psi(sys, E_min), _psi(sys, E_max)
     results: list[Resonance] = []
     lo = E_min
     for n in range(math.floor(psi_lo / math.pi - 0.5) + 1, math.ceil(psi_hi / math.pi - 0.5)):
         target = (n + 0.5) * math.pi
-        root = _bisect(_branch_offset(sys, n), lo, E_max, psi_lo - target, psi_hi - target)
+        root = _illinois(_branch_offset(sys, n), lo, E_max, psi_lo - target, psi_hi - target)
         results.append(_resonance(sys, root, len(results)))
         lo, psi_lo = root, target
     return results

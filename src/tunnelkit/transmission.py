@@ -35,7 +35,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import OpaqueBracketError
+from .errors import DomainError, OpaqueBracketError
 from .kinematics import BarrierSystem, Kinematics, kinematics
 
 __all__ = [
@@ -89,11 +89,6 @@ class ScaledDenominator(NamedTuple):
         return self.w_scaled * L - (self.e_neg + self.w_scaled) * self.chi_k
 
 
-def _chi(delta: float, e: float, p: float) -> float:
-    """chi = atan((delta/2) tanh qa), tanh qa = p/(1+e); psi is rounded through it."""
-    return math.atan(0.5 * delta * p / (1.0 + e))
-
-
 def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
     """Evaluate the scaled Fabry-Perot record at energy E.
 
@@ -113,7 +108,7 @@ def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
     chsh = (1.0 + e) * p / 4.0  # cosh(qa) sinh(qa) e
     w = s2 * p * p / 16.0
     w_k = -(s2 / (2.0 * q)) * (0.25 * delta * p * p + ka * chsh)
-    chi = _chi(delta, e, p)
+    chi = math.atan(0.5 * delta * p / (1.0 + e))   # tanh qa = p/(1+e)
     chi_k = -(s2 * chsh + delta * ka * e) / (2.0 * q * (e + w))
     psi = k * L - chi
     c, s = math.cos(psi), math.sin(psi)
@@ -148,8 +143,21 @@ def probability(sys: BarrierSystem, E: float) -> float:
 
 
 def log_probability(sys: BarrierSystem, E: float) -> float:
-    """ln |A_T|^2; finite even when the probability itself underflows."""
-    return -scaled_denominator(sys, E).log_mod_squared
+    """ln |A_T|^2; finite even when the probability itself underflows.
+
+    Raises DomainError where the scaled |D|^2 overflows (E/U0 below ~1e-150).
+    """
+    sc = scaled_denominator(sys, E)
+    log_p = -sc.log_mod_squared
+    if not math.isfinite(log_p):
+        raise _overflow(sc, "ln |A_T|^2", log_p)
+    return log_p
+
+
+def _overflow(sc: ScaledDenominator, name: str, value: float) -> DomainError:
+    """For a result that came out inf or nan: sigma^2 ~ U0/E has pushed the
+    scaled record (w~', |D|^2 e^2) past the double range, at E/U0 below ~1e-150."""
+    return DomainError(f"{name} is {value} at E={sc.kin.E} J: the scaled record overflows")
 
 
 def transmitted_phase(sys: BarrierSystem, E: float) -> float:

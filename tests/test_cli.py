@@ -235,6 +235,16 @@ def test_sweep_json_echoes_its_energy(capsys):
     assert json.loads(out)["energy_neV"] == 100.1
 
 
+def test_sweep_json_echoes_its_lengths(capsys):
+    # Neither length survives angstrom -> metre -> angstrom unchanged.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "gap_length", "--energy", "80.5",
+        "--values", "687.7363", "1498.4227", "--format", "json",
+    )
+    assert code == 0
+    assert [r["sweep_value_angstrom"] for r in json.loads(out)["rows"]] == [687.7363, 1498.4227]
+
+
 def test_sweep_csv_and_flags(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -332,6 +342,24 @@ def test_oracle_check_impossible_tolerance(capsys):
     )
     assert code == 5
     assert "FAIL: amplitude at E=" in out
+
+
+@pytest.mark.parametrize("flag", ["--amp-tol", "--tau-tol"])
+def test_oracle_check_rejects_a_negative_tolerance_flag(capsys, flag):
+    code, out, err = run_cli(capsys, "oracle-check", flag, "-1", "--points", "2")
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and ">= 0" in err
+
+
+@pytest.mark.parametrize("field", ["amplitude_tolerance", "phase_time_tolerance"])
+def test_oracle_check_rejects_a_negative_tolerance_field(capsys, tmp_path, field):
+    cfg = tmp_path / "oracle.json"
+    cfg.write_text(json.dumps({"oracle_check": {field: -1e-3, "points": 2}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "oracle-check", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert field in err
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -542,14 +542,36 @@ def records(monkeypatch):
     return calls
 
 
-def test_one_record_per_root(records):
+@pytest.fixture
+def certificates(monkeypatch):
+    """Counts the roots the resonance module certifies (_resonance calls)."""
+    calls = [0]
+    resonance = resonance_module._resonance
+
+    def counted(sys, E_r, index):
+        calls[0] += 1
+        return resonance(sys, E_r, index)
+
+    monkeypatch.setattr(resonance_module, "_resonance", counted)
+    return calls
+
+
+def test_one_certifying_record_per_root(certificates):
     sys = BarrierSystem.from_lab_units(80.0, 230.0, 2e4, 1.0)
     found = find_resonances(sys, *full_window(sys))
     assert len(found) > 10
-    assert records[0] == len(found)
-    records[0] = 0
+    assert certificates[0] == len(found)
+    certificates[0] = 0
     run_neutron_scenario()  # one root at the free mass, one at the fitted mass
-    assert records[0] == 2
+    assert certificates[0] == 2
+
+
+def test_root_search_reads_at_most_16_records_per_root(records):
+    # The window ends, every step of the root search and the certificate.
+    sys = BarrierSystem.from_lab_units(80.0, 230.0, 2e4, 1.0)
+    found = find_resonances(sys, *full_window(sys))
+    assert len(found) > 10
+    assert records[0] <= 16 * len(found)
 
 
 def test_non_positive_width_bracket_is_degenerate_for_beta_and_tau_r(monkeypatch):

@@ -1,0 +1,197 @@
+"""Root placement: Illinois on the record's psi against plain bisection.
+
+find_resonances places each branch root psi = (n + 1/2) pi with the
+Illinois regula falsi of the mass fit, reading psi = kL - chi and cos(psi)
+from one scaled_denominator record per step. This file keeps the plain
+path as the reference: psi formed from kinematics alone, with its own copy
+of chi, and each branch bisected down to adjacent floats. Both must place
+the same roots (within 1 ulp where the offset is rounding noise) and raise
+the same errors, and Illinois may take no more evaluations of the branch
+offset than bisection does on any branch.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from tunnelkit import resonance as resonance_module
+from tunnelkit import scenarios as scenarios_module
+from tunnelkit.kinematics import BarrierSystem, kinematics
+from tunnelkit.resonance import _resonance, find_resonances
+from tunnelkit.scenarios import run_neutron_scenario
+
+# -- the reference: bisection on psi from kinematics ---------------------------
+
+
+def ref_psi(sys, E):
+    """psi = kL - chi from kinematics, with chi = atan((delta/2) tanh qa)."""
+    _, k, q, delta, _, _, _ = kinematics(sys, E)
+    a, _, L, _ = sys
+    two_qa = 2.0 * q * a
+    e, p = math.exp(-two_qa), -math.expm1(-two_qa)
+    return k * L - math.atan(0.5 * delta * p / (1.0 + e))
+
+
+def ref_branch_offset(sys, n):
+    target, sign = (n + 0.5) * math.pi, (-1.0) ** (n + 1)
+
+    def offset(E):
+        psi = ref_psi(sys, E)
+        d = psi - target
+        return d if abs(d) > 1.0 else sign * math.cos(psi)
+
+    return offset
+
+
+def ref_bisect(f, lo, hi, flo, fhi):
+    """Bisection down to adjacent floats; the end where |f| is smaller, and the
+    number of evaluations of f."""
+    evaluations = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fmid = f(mid)
+        evaluations += 1
+        if fmid == 0.0:
+            return mid, evaluations
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return (lo if abs(flo) <= abs(fhi) else hi), evaluations
+
+
+def ref_find_resonances(sys, E_min, E_max):
+    """The roots of find_resonances by bisection, each with its evaluations."""
+    psi_lo, psi_hi = ref_psi(sys, E_min), ref_psi(sys, E_max)
+    results, lo = [], E_min
+    for n in range(math.floor(psi_lo / math.pi - 0.5) + 1, math.ceil(psi_hi / math.pi - 0.5)):
+        target = (n + 0.5) * math.pi
+        root, evaluations = ref_bisect(
+            ref_branch_offset(sys, n), lo, E_max, psi_lo - target, psi_hi - target
+        )
+        results.append((_resonance(sys, root, len(results)), n, evaluations))
+        lo, psi_lo = root, target
+    return results
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the reference's errors are compared, not raised
+        return f"{type(exc).__name__}: {exc}"
+
+
+# -- the comparison ------------------------------------------------------------
+
+# (a A, L A, U0 neV, mass ratio): the benchmark's scan, oracle and probe boxes.
+BOXES = {
+    "filter": ((250.0, 350.0), (150.0, 250.0), (200.0, 260.0), (0.9, 1.1)),
+    "moderate": ((100.0, 220.0), (50.0, 2000.0), (150.0, 300.0), (0.9, 1.1)),
+    "wide": ((80.0, 140.0), (2000.0, 5000.0), (150.0, 300.0), (0.9, 1.1)),
+    "narrow": ((50.0, 100.0), (5000.0, 20000.0), (150.0, 300.0), (0.9, 1.1)),
+    "oracle": ((100.0, 220.0), (50.0, 1000.0), (150.0, 300.0), (0.9, 1.1)),
+    "probe_opaque": ((600.0, 1500.0), (50.0, 2000.0), (180.0, 230.0), (0.9, 1.1)),
+    "probe_moderate": ((220.0, 600.0), (50.0, 2000.0), (150.0, 300.0), (0.9, 1.1)),
+    "probe_wide": ((140.0, 300.0), (2000.0, 5000.0), (150.0, 300.0), (0.9, 1.1)),
+    "probe_very_wide": ((100.0, 250.0), (5000.0, 20000.0), (150.0, 300.0), (0.9, 1.1)),
+}
+
+
+def _seeded_systems(name, count):
+    (a0, a1), (l0, l1), (v0, v1), (m0, m1) = BOXES[name]
+    rng = random.Random(f"root-placement/{name}")
+    for _ in range(count):
+        yield BarrierSystem.from_lab_units(
+            a0 * (a1 / a0) ** rng.random(),
+            v0 + (v1 - v0) * rng.random(),
+            l0 * (l1 / l0) ** rng.random(),
+            m0 + (m1 - m0) * rng.random(),
+        )
+
+
+def _floats_around(x, n):
+    """The n floats below x, x, and the n floats above it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _sign_changes(values):
+    signs = [(v > 0.0) - (v < 0.0) for v in values]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+@pytest.fixture
+def offset_evaluations(monkeypatch):
+    """Evaluations of each branch offset find_resonances builds, in order."""
+    counts = []
+    branch_offset = resonance_module._branch_offset
+
+    def counted(sys, n):
+        f = branch_offset(sys, n)
+        counts.append(0)
+        index = len(counts) - 1
+
+        def offset(E):
+            counts[index] += 1
+            return f(E)
+
+        return offset
+
+    monkeypatch.setattr(resonance_module, "_branch_offset", counted)
+    return counts
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_roots_match_bisection_with_no_more_evaluations(box, offset_evaluations):
+    # Near a broad root the offset can be rounding noise that changes sign
+    # more than once within a few ulp. Where the 33 floats centred on the
+    # bisected root show a single sign change the root must be the same
+    # double; elsewhere it must be a sign change within 1 ulp of it.
+    roots = 0
+    for sys in _seeded_systems(box, 150):
+        window = 1e-3 * sys.U0, 0.999 * sys.U0
+        reference = _outcome(ref_find_resonances, sys, *window)
+        offset_evaluations.clear()
+        found = _outcome(find_resonances, sys, *window)
+        if isinstance(reference, str):
+            assert found == reference, sys
+            continue
+        assert len(found) == len(reference), sys
+        assert len(offset_evaluations) == len(reference), sys
+        for res, (ref, n, bisections), evaluations in zip(found, reference, offset_evaluations):
+            roots += 1
+            assert evaluations <= bisections, (sys, ref)
+            if res == ref:
+                continue
+            f = ref_branch_offset(sys, n)
+            assert _sign_changes(f(x) for x in _floats_around(ref.E_r, 16)) > 1, (sys, ref)
+            assert abs(res.E_r - ref.E_r) <= math.ulp(ref.E_r), (sys, ref, res)
+            fx = f(res.E_r)
+            assert fx == 0.0 or any(
+                (f(x) < 0.0) != (fx < 0.0)
+                for x in (math.nextafter(res.E_r, 0.0), math.nextafter(res.E_r, math.inf))
+            )
+    assert roots >= 150
+
+
+def test_neutron_scenario_roots_match_bisection(monkeypatch):
+    # Both of the scenario's scans, at the free and at the fitted mass.
+    scans = []
+
+    def compared(sys, E_min, E_max):
+        found = find_resonances(sys, E_min, E_max)
+        assert found == [res for res, _, _ in ref_find_resonances(sys, E_min, E_max)]
+        scans.append(found)
+        return found
+
+    monkeypatch.setattr(scenarios_module, "find_resonances", compared)
+    run_neutron_scenario()
+    assert [len(found) for found in scans] == [1, 1]

@@ -20,6 +20,7 @@ from tunnelkit import (
     average_phase_time,
     double_barrier_profile,
     hartman_limit,
+    log_probability,
     phase_time,
     phase_time_opaque,
     resonance_residual,
@@ -29,6 +30,7 @@ from tunnelkit import (
 # Each returns the numbers that must be finite.
 CHECKS = {
     "amplitude": lambda sys, E: tuple(amplitude(sys, E)),
+    "log_probability": lambda sys, E: (log_probability(sys, E),),
     "phase_time": lambda sys, E: (phase_time(sys, E).total,),
     "phase_time_opaque": lambda sys, E: (phase_time_opaque(sys, E),),
     "average_phase_time": lambda sys, E: (average_phase_time(sys, E, E * (1.0 + 1e-6)),),
@@ -63,7 +65,7 @@ def test_every_per_energy_function_is_finite_or_raises_a_tunnelkit_error():
             assert all(cmath.isfinite(x) for x in numbers), (name, sys, E, numbers)
             outcomes[name, "finite"] += 1
     # The draws reach both failure modes: k = 0 (every function) and an
-    # overflowing record (the two phase-times only).
+    # overflowing record (the two phase-times and log_probability only).
     for name in CHECKS:
         assert outcomes[name, "finite"] > 4000, name
         assert outcomes[name, DomainError.__name__] > 300, name
