@@ -30,9 +30,15 @@ evaluation of 1/|D'(E_r)| and of the phase-time (tests/neutron_reference.py).
 Root search: chi decreases with k at every energy (chi' < 0), so psi is
 strictly increasing and each resonance is the single crossing of one
 branch psi = (n + 1/2) pi. find_resonances counts the branches between
-the window ends and places each root by the Illinois regula falsi of the
-mass fit, on psi and cos(psi) read from the scaled_denominator record, so
-its cost grows with the number of roots, not with a grid, and no root is
+the window ends and places each root with _illinois, the one solver (the
+mass fit runs it as plain Illinois regula falsi). Here each step reads
+one scaled_denominator record, which holds psi, cos(psi) and the slope
+dpsi/dk = L - chi', and proposes a Newton point; the step is taken in k,
+where psi ~ kL is nearly linear. The Illinois bracket catches every
+Newton point that leaves it. Each branch starts from the Newton point at
+the previous root, or at E_min. A root costs about 7-11 records, window
+ends and certificate included, against 13-16 for Illinois alone. The cost
+grows with the number of roots, not with a grid, and no root is
 skipped however densely the roots crowd (wide gaps at low energy). The
 closed form itself stays exact at a root; what runs out is the placing
 of the root: certification within 1e-9 needs the root within ~3e-5 beta,
@@ -89,23 +95,29 @@ def resonance_residual(sys: BarrierSystem, E: float) -> float:
     return math.cos(k * L) + 0.5 * delta * math.tanh(q * a) * math.sin(k * L)
 
 
-def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Illinois regula falsi (Dowell & Jarratt 1971) down to adjacent floats;
-    returns the end where the true |f| is smaller.
+def _illinois(f, lo: float, hi: float, flo: float, fhi: float, x: float | None = None) -> float:
+    """Illinois regula falsi (Dowell & Jarratt 1971) with optional Newton points,
+    down to adjacent floats; returns the end where the true |f| is smaller.
 
-    Each step keeps a sign change across [lo, hi]. The end that survives two
-    steps in a row has its stored value halved, so the interpolate moves
-    towards it and the bracket closes from both sides; an interpolate not
-    strictly inside the bracket is replaced by the midpoint.
+    f(x) returns (f value, next point or None), and x is the first point to
+    try. Each step keeps a sign change across [lo, hi]. A point is tried only
+    strictly inside the bracket: the next point f proposed (safeguarded
+    Newton, rtsafe of Numerical Recipes section 9.4), else the interpolate,
+    else the midpoint. A proposed point that rounds back onto the point
+    just tried (Newton has converged to within an ulp) is replaced by the
+    next float into the bracket, the smallest step that can close it. The
+    end that survives two steps in a row has its stored value halved, so
+    the interpolate moves towards it and the bracket closes from both sides.
     """
     glo, ghi, kept = flo, fhi, 0
     while True:
-        x = hi - ghi * ((hi - lo) / (ghi - glo))
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        if x is None or not lo < x < hi:
+            x = hi - ghi * ((hi - lo) / (ghi - glo))
             if not lo < x < hi:
-                break
-        fx = f(x)
+                x = 0.5 * (lo + hi)
+                if not lo < x < hi:
+                    break
+        fx, x_next = f(x)
         if fx == 0.0:
             return x
         if (fx < 0.0) == (flo < 0.0):
@@ -118,27 +130,39 @@ def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
             if kept < 0:
                 glo *= 0.5
             kept = -1
+        if x_next == x:
+            x_next = math.nextafter(x, hi if x == lo else lo)
+        x = x_next
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def _psi(sys: BarrierSystem, E: float) -> tuple[float, float]:
-    """psi = kL - chi and cos(psi), read from the scaled_denominator record at E;
-    psi takes the record's own operations, so it rounds as its cos(psi) does."""
-    (_, k, _, _, _, _, _), _, _, _, _, chi, _, c, _, _ = scaled_denominator(sys, E)
-    return k * sys.L - chi, c
+def _psi(sys: BarrierSystem, E: float) -> tuple[float, float, float, float]:
+    """psi = kL - chi, cos(psi), k and dpsi/dk = L - chi', read from the
+    scaled_denominator record at E; psi takes the record's own operations,
+    so it rounds as its cos(psi) does."""
+    (_, k, _, _, _, _, _), _, _, _, _, chi, chi_k, c, _, _ = scaled_denominator(sys, E)
+    L = sys.L
+    return k * L - chi, c, k, L - chi_k
 
 
 def _branch_offset(sys: BarrierSystem, n: int):
-    """The function E -> psi(E) - (n + 1/2) pi, or within a radian of it its sine
-    (-1)^(n+1) cos(psi), which changes sign where the certified cos(psi) does,
-    not at a rounded target. A closure, so each step of the root search reads
-    one record."""
+    """The function E -> (offset, Newton point), read from one record.
+
+    The offset is psi(E) - (n + 1/2) pi, or within a radian of it its sine
+    (-1)^(n+1) cos(psi), which changes sign where the certified cos(psi)
+    does, not at a rounded target. The Newton point takes the step in k,
+    where psi ~ kL is nearly linear: E (k'/k)^2 with k' = k - d/(L - chi')
+    and d = psi - (n + 1/2) pi. It is None unless L - chi' is finite and
+    positive and k' > 0.
+    """
     target, sign = (n + 0.5) * math.pi, (-1.0) ** (n + 1)
 
-    def offset(E: float) -> float:
-        psi, c = _psi(sys, E)
+    def offset(E: float) -> tuple[float, float | None]:
+        psi, c, k, slope = _psi(sys, E)
         d = psi - target
-        return d if abs(d) > 1.0 else sign * c
+        k_next = k - d / slope if 0.0 < slope < math.inf else 0.0
+        r = k_next / k  # r * r, not r**2, which raises OverflowError
+        return (d if abs(d) > 1.0 else sign * c), (E * (r * r) if k_next > 0.0 else None)
 
     return offset
 
@@ -174,8 +198,9 @@ def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Reso
 
     psi(E) is strictly increasing, so the window holds one root for each
     n with (n + 1/2) pi between psi(E_min) and psi(E_max). Each root is
-    placed by Illinois regula falsi on psi(E) - (n + 1/2) pi over
-    [previous root, E_max], down to adjacent floats, then must pass
+    placed on psi(E) - (n + 1/2) pi over [previous root, E_max] by Newton
+    steps in k inside an Illinois bracket, starting from the Newton point
+    at the previous root, down to adjacent floats, then must pass
     |A_T|^2 = 1 within 1e-9; a failed certification raises
     ResonanceValidationError (the resonance is too narrow for double
     precision to place).
@@ -184,12 +209,13 @@ def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Reso
         raise DomainError(
             f"window must satisfy 0 < E_min < E_max < U0, got ({E_min}, {E_max})"
         )
-    (psi_lo, _), (psi_hi, _) = _psi(sys, E_min), _psi(sys, E_max)
+    psi_lo, psi_hi = _psi(sys, E_min)[0], _psi(sys, E_max)[0]
     results: list[Resonance] = []
     lo = E_min
     for n in range(math.floor(psi_lo / math.pi - 0.5) + 1, math.ceil(psi_hi / math.pi - 0.5)):
         target = (n + 0.5) * math.pi
-        root = _illinois(_branch_offset(sys, n), lo, E_max, psi_lo - target, psi_hi - target)
+        offset = _branch_offset(sys, n)
+        root = _illinois(offset, lo, E_max, psi_lo - target, psi_hi - target, offset(lo)[1])
         results.append(_resonance(sys, root, len(results)))
         lo, psi_lo = root, target
     return results
@@ -228,8 +254,8 @@ def fit_effective_mass(
 
     # Only the bracket ends go through BarrierSystem's checks: every mass strictly
     # between two valid ends is finite and positive, so g builds its system unchecked.
-    def g(m: float) -> float:
-        return resonance_residual(tuple.__new__(BarrierSystem, (a, U0, L, m)), E_r_target)
+    def g(m: float) -> tuple[float, None]:
+        return resonance_residual(tuple.__new__(BarrierSystem, (a, U0, L, m)), E_r_target), None
 
     g_lo = resonance_residual(BarrierSystem(a, U0, L, m_lo), E_r_target)
     g_hi = resonance_residual(BarrierSystem(a, U0, L, m_hi), E_r_target)

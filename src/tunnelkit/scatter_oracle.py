@@ -12,8 +12,10 @@ written t * exp(ikx) with the same origin, so for an empty profile t = 1
 and for the double barrier t is directly comparable to the closed-form
 amplitude.
 
-Scaling. The chain is kept in five locals (m11, m12, m21, m22, log_scale)
-and one TransferMatrix is built at the end. Each interface applies
+Scaling. The chain is kept in five locals (m11, m12, m21, m22, log_scale);
+transfer_matrix builds one TransferMatrix at the end, and solve reads the
+locals without one. Both records are built by the package's construction
+rule (one `tuple.__new__` call; see the kinematics module). Each interface applies
 [[p, n], [n, p]] with p, n = (1 +- rho)/2; each segment applies a diagonal
 scale. An evanescent segment of thickness d multiplies coefficients by
 exp(+-qd); the growing exponential goes into log_scale, so the entries stay
@@ -98,8 +100,9 @@ class TransferMatrix(NamedTuple):
     log_scale: float
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            *_normalized(
+        return tuple.__new__(
+            TransferMatrix,
+            _normalized(
                 self.m11 * other.m11 + self.m12 * other.m21,
                 self.m11 * other.m12 + self.m12 * other.m22,
                 self.m21 * other.m11 + self.m22 * other.m21,
@@ -156,21 +159,27 @@ def transfer_matrix(profile: PotentialProfile, E: float) -> TransferMatrix:
     compose by plain multiplication (the inner outer-medium interfaces of
     adjacent profiles cancel exactly).
     """
-    return _walk(profile, E)[0]
+    return tuple.__new__(TransferMatrix, _walk(profile, E)[0])
 
 
-def _walk(profile: PotentialProfile, E: float) -> tuple[TransferMatrix, float]:
-    """transfer_matrix and the summed segment widths, in one pass over the segments."""
+def _walk(
+    profile: PotentialProfile, E: float
+) -> tuple[tuple[complex, complex, complex, complex, float], float]:
+    """The entries of transfer_matrix and k times the summed segment widths, in
+    one pass over the segments; each distinct height's wavenumber is found once."""
     if not 0.0 < E < math.inf:
         raise DomainError(f"energy must be finite and > 0, got {E} J")
     hbar = CODATA2018.hbar
     m = profile.m
     k_out = _segment_kappa(E, 0.0, m, hbar)
+    kappas = {0.0: k_out}
     m11, m12, m21, m22, log_scale = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0
     kappa_prev, total_width = k_out, 0.0
     for width, height in profile.segments:
         total_width += width
-        kappa = _segment_kappa(E, height, m, hbar)
+        kappa = kappas.get(height)
+        if kappa is None:
+            kappa = kappas[height] = _segment_kappa(E, height, m, hbar)
         # Interface: [[p, n], [n, p]] with rho = kappa_prev / kappa.
         rho = kappa_prev / kappa
         p, n = 0.5 * (1.0 + rho), 0.5 * (1.0 - rho)
@@ -197,17 +206,15 @@ def _walk(profile: PotentialProfile, E: float) -> tuple[TransferMatrix, float]:
         p * m11 + n * m21, p * m12 + n * m22,
         n * m11 + p * m21, n * m12 + p * m22, log_scale,
     )
-    return TransferMatrix(*mat), total_width
+    return mat, k_out.real * total_width
 
 
 def solve(profile: PotentialProfile, E: float) -> ScatterSolution:
     """Transmission and reflection amplitudes for a wave incident from the left."""
-    mat, total_width = _walk(profile, E)
-    if mat.m22 == 0:
+    (_, _, m21, m22, log_scale), k_width = _walk(profile, E)
+    if m22 == 0:
         raise DegenerateMatchingError("singular transfer matrix")
-    r = -mat.m21 / mat.m22
     # (A_out, 0) = e^lam M (1, r); det(e^lam M) = 1 for equal outer media,
     # so A_out = e^-lam / M22 without forming the cancellation-prone determinant.
-    k = math.sqrt(2.0 * profile.m * E) / CODATA2018.hbar
-    a_out = cmath.exp(complex(-mat.log_scale, -k * total_width)) / mat.m22
-    return ScatterSolution(a_out, r)
+    a_out = cmath.exp(complex(-log_scale, -k_width)) / m22
+    return tuple.__new__(ScatterSolution, (a_out, -m21 / m22))

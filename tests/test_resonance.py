@@ -566,12 +566,29 @@ def test_one_certifying_record_per_root(certificates):
     assert certificates[0] == 2
 
 
-def test_root_search_reads_at_most_16_records_per_root(records):
-    # The window ends, every step of the root search and the certificate.
+def test_root_search_reads_at_most_8_records_per_root(records):
+    # The window ends, the Newton start at the previous root, every step of
+    # the root search and the certificate: 465 records for 65 roots.
     sys = BarrierSystem.from_lab_units(80.0, 230.0, 2e4, 1.0)
     found = find_resonances(sys, *full_window(sys))
     assert len(found) > 10
-    assert records[0] <= 16 * len(found)
+    assert records[0] <= 8 * len(found)
+
+
+@pytest.mark.parametrize("slope", [0.0, math.nan, -1.0, math.inf, 1e-300])
+def test_a_bad_slope_leaves_the_roots_unchanged(monkeypatch, slope):
+    # Where L - chi' is unusable the Newton point is None (or, for a tiny
+    # slope, at infinity, outside every bracket) and the search falls back to
+    # Illinois; no ZeroDivisionError or OverflowError escapes.
+    systems = [neutron_system(), BarrierSystem.from_lab_units(80.0, 230.0, 2e4, 1.0)]
+    expected = [find_resonances(sys, *full_window(sys)) for sys in systems]
+    psi = resonance_module._psi
+    monkeypatch.setattr(resonance_module, "_psi", lambda sys, E: (*psi(sys, E)[:3], slope))
+    for sys in systems:
+        for n, E in ((0, 0.5 * sys.U0), (3, 0.01 * sys.U0), (9, 0.9 * sys.U0)):
+            newton = resonance_module._branch_offset(sys, n)(E)[1]
+            assert newton is None or newton == math.inf, (sys, n, E, newton)
+    assert [find_resonances(sys, *full_window(sys)) for sys in systems] == expected
 
 
 def test_non_positive_width_bracket_is_degenerate_for_beta_and_tau_r(monkeypatch):
