@@ -74,12 +74,33 @@ _DEFAULT_SYSTEM = {
     "mass_ratio": 1.0,
 }
 
+# The config document's sections and the fields each one may hold.
+_CONFIG_FIELDS = {
+    "system": tuple(_DEFAULT_SYSTEM),
+    "transmission": ("e_min_neV", "e_max_neV", "points", "format"),
+    "resonances": ("e_min_neV", "e_max_neV", "fit_mass"),
+    "sweep": ("axis", "energy_neV", "values_angstrom", "format"),
+    "oracle_check": (
+        "e_min_neV", "e_max_neV", "points", "amplitude_tolerance", "phase_time_tolerance"
+    ),
+}
+
 
 def _fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _load_json_file(path: str) -> dict:
+def _known(doc: dict, name: str, fields) -> dict:
+    """doc, unless it holds a name outside fields."""
+    unknown = set(doc).difference(fields)
+    if unknown:
+        raise ConfigError(f"unknown {name} field(s): {sorted(unknown)}")
+    return doc
+
+
+def _load_config(path: str) -> dict:
+    """The config document at path: a JSON object of known sections, each a
+    JSON object of known fields, whichever command reads it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -89,6 +110,10 @@ def _load_json_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    for name, section in _known(doc, "top-level", _CONFIG_FIELDS).items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"field {name!r} must be a JSON object")
+        _known(section, name, _CONFIG_FIELDS[name])
     return doc
 
 
@@ -115,18 +140,8 @@ def _points(section: dict, default: int, flag: Optional[int]) -> int:
     return int(value)
 
 
-def _section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"field {name!r} must be a JSON object")
-    return section
-
-
 def _build_system(args, config: dict) -> BarrierSystem:
-    section = _section(config, "system")
-    unknown = set(section) - _DEFAULT_SYSTEM.keys()
-    if unknown:
-        raise ConfigError(f"unknown system field(s): {sorted(unknown)}")
+    section = config.get("system", {})
     flags = (args.a, args.u0, args.l, args.mass_ratio)
     values = [
         _number(section, field, default, flag)
@@ -157,7 +172,7 @@ def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points:
 
 def cmd_transmission(args, config: dict) -> int:
     sys_ = _build_system(args, config)
-    section = _section(config, "transmission")
+    section = config.get("transmission", {})
     e_min = _number(section, "e_min_neV", 1.0, args.emin)
     e_max = _number(section, "e_max_neV", 229.0, args.emax)
     points = _points(section, 201, args.points)
@@ -187,11 +202,11 @@ def cmd_transmission(args, config: dict) -> int:
 
 def cmd_resonances(args, config: dict) -> int:
     sys_ = _build_system(args, config)
-    section = _section(config, "resonances")
+    section = config.get("resonances", {})
     e_min = _number(section, "e_min_neV", 1.0, args.emin)
     e_max = _number(section, "e_max_neV", 0.999 * nev_from_joule(sys_.U0), args.emax)
 
-    if args.fit_mass is not None:
+    if args.fit_mass is not None or "fit_mass" in section:
         target = joule_from_nev(_number(section, "fit_mass", 0.0, args.fit_mass))
         m = fit_effective_mass(sys_.a, sys_.U0, sys_.L, target, NEUTRON_MASS_BRACKET)
         sys.stdout.write(
@@ -236,7 +251,7 @@ def cmd_neutron(args, config: dict) -> int:
 
 def cmd_sweep(args, config: dict) -> int:
     sys_ = _build_system(args, config)
-    section = _section(config, "sweep")
+    section = config.get("sweep", {})
     axis = args.axis or section.get("axis")
     if axis not in ("barrier_width", "gap_length"):
         raise ConfigError(f"axis must be barrier_width or gap_length, got {axis!r}")
@@ -274,7 +289,7 @@ def cmd_sweep(args, config: dict) -> int:
 
 def cmd_oracle_check(args, config: dict) -> int:
     sys_ = _build_system(args, config)
-    section = _section(config, "oracle_check")
+    section = config.get("oracle_check", {})
     u0_nev = nev_from_joule(sys_.U0)
     e_min = _number(section, "e_min_neV", 0.05 * u0_nev, args.emin)
     e_max = _number(section, "e_max_neV", 0.95 * u0_nev, args.emax)
@@ -381,7 +396,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse uses exit 2 on usage errors
         return int(exc.code or 0)
     try:
-        config = _load_json_file(args.config) if getattr(args, "config", None) else {}
+        config = _load_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args, config)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

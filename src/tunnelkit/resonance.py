@@ -21,11 +21,12 @@ transmission into the Lorentzian beta^2/((E-E_r)^2+beta^2) and adds
 hbar beta/((E-E_r)^2+beta^2) of time delay on top of the free flight over
 the gap: the phase-time at the root is tau_r = (m / hbar k)(L + 2G).
 
-One private builder, _resonance, makes every Resonance from one record at
-E_r: it certifies the root and reads G once for both beta and tau_r, and
-find_resonances, breit_wigner_width and phase_time_at_resonance all go
-through it. The tests check beta and tau_r against an independent mpmath
-evaluation of 1/|D'(E_r)| and of the phase-time (tests/neutron_reference.py).
+One private reader, _resonance, makes every Resonance from the record at
+E_r it is handed: it certifies the root and reads G once for both beta and
+tau_r, and find_resonances, breit_wigner_width and phase_time_at_resonance
+all go through it. The tests check beta and tau_r against an independent
+mpmath evaluation of 1/|D'(E_r)| and of the phase-time
+(tests/neutron_reference.py).
 
 Root search: chi decreases with k at every energy (chi' < 0), so psi is
 strictly increasing and each resonance is the single crossing of one
@@ -36,16 +37,17 @@ one scaled_denominator record, which holds psi, cos(psi) and the slope
 dpsi/dk = L - chi', and proposes a Newton point; the step is taken in k,
 where psi ~ kL is nearly linear. The Illinois bracket catches every
 Newton point that leaves it. Each branch starts from the Newton point at
-the previous root, or at E_min. A root costs about 7-11 records, window
-ends and certificate included, against 13-16 for Illinois alone. The cost
-grows with the number of roots, not with a grid, and no root is
-skipped however densely the roots crowd (wide gaps at low energy). The
-closed form itself stays exact at a root; what runs out is the placing
-of the root: certification within 1e-9 needs the root within ~3e-5 beta,
-which doubles cannot resolve once beta/E_r falls to about 3e-12: qa ~
-13.7 at L = 195 A, but ~ 10.4 at L = 1e5 A, as one ulp of E moves psi by
-about kL 2^-53. find_resonances then raises rather than return an
-uncertified root.
+the previous root, or at E_min, read from the record already built there
+(the root's certificate, or the window end). A root costs about 6-10
+records, window ends and certificate included, against 13-16 for
+Illinois alone. The cost grows with the number of roots, not with a
+grid, and no root is skipped however densely the roots crowd (wide gaps
+at low energy). The closed form itself stays exact at a root; what runs
+out is the placing of the root: certification within 1e-9 needs the
+root within ~3e-5 beta, which doubles cannot resolve once beta/E_r falls
+to about 3e-12: qa ~ 13.7 at L = 195 A, but ~ 10.4 at L = 1e5 A, as one
+ulp of E moves psi by about kL 2^-53. find_resonances then raises rather
+than return an uncertified root.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .errors import (
     ResonanceValidationError,
 )
 from .kinematics import BarrierSystem, kinematics
-from .transmission import scaled_denominator
+from .transmission import ScaledDenominator, scaled_denominator
 
 __all__ = [
     "Resonance",
@@ -136,30 +138,22 @@ def _illinois(f, lo: float, hi: float, flo: float, fhi: float, x: float | None =
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def _psi(sys: BarrierSystem, E: float) -> tuple[float, float, float, float]:
-    """psi = kL - chi, cos(psi), k and dpsi/dk = L - chi', read from the
-    scaled_denominator record at E; psi takes the record's own operations,
-    so it rounds as its cos(psi) does."""
-    (_, k, _, _, _, _, _), _, _, _, _, chi, chi_k, c, _, _ = scaled_denominator(sys, E)
-    L = sys.L
-    return k * L - chi, c, k, L - chi_k
+def _branch_offset(L: float, n: int):
+    """The function record -> (offset, Newton point) of branch n.
 
-
-def _branch_offset(sys: BarrierSystem, n: int):
-    """The function E -> (offset, Newton point), read from one record.
-
-    The offset is psi(E) - (n + 1/2) pi, or within a radian of it its sine
-    (-1)^(n+1) cos(psi), which changes sign where the certified cos(psi)
-    does, not at a rounded target. The Newton point takes the step in k,
-    where psi ~ kL is nearly linear: E (k'/k)^2 with k' = k - d/(L - chi')
-    and d = psi - (n + 1/2) pi. It is None unless L - chi' is finite and
-    positive and k' > 0.
+    The offset is psi - (n + 1/2) pi, with psi = kL - chi as the record
+    forms it, or within a radian of it its sine (-1)^(n+1) cos(psi), which
+    changes sign where the certified cos(psi) does, not at a rounded target.
+    The Newton point takes the step in k, where psi ~ kL is nearly linear:
+    E (k'/k)^2 with k' = k - d/(L - chi') and d = psi - (n + 1/2) pi. It is
+    None unless L - chi' is finite and positive and k' > 0.
     """
     target, sign = (n + 0.5) * math.pi, (-1.0) ** (n + 1)
 
-    def offset(E: float) -> tuple[float, float | None]:
-        psi, c, k, slope = _psi(sys, E)
-        d = psi - target
+    def offset(sc: ScaledDenominator) -> tuple[float, float | None]:
+        (E, k, _, _, _, _, _), _, _, _, _, chi, chi_k, c, _, _ = sc
+        d = k * L - chi - target
+        slope = L - chi_k
         k_next = k - d / slope if 0.0 < slope < math.inf else 0.0
         r = k_next / k  # r * r, not r**2, which raises OverflowError
         return (d if abs(d) > 1.0 else sign * c), (E * (r * r) if k_next > 0.0 else None)
@@ -167,15 +161,15 @@ def _branch_offset(sys: BarrierSystem, n: int):
     return offset
 
 
-def _resonance(sys: BarrierSystem, E_r: float, index: int) -> Resonance:
-    """The Resonance at E_r, from one record: certified, then beta and tau_r
+def _resonance(sc: ScaledDenominator, L: float, index: int) -> Resonance:
+    """The Resonance at the record's energy: certified, then beta and tau_r
     read from its width bracket G.
 
     Raises ResonanceValidationError unless |A_T|^2 is within
     CERTIFICATION_TOL of unity there, and DegenerateResonanceError unless
     G > 0.
     """
-    sc = scaled_denominator(sys, E_r)
+    (E_r, k, _, _, _, hbar, m), log_scale, e, _, _, _, _, _, _, _ = sc
     p = math.exp(-sc.log_mod_squared)
     if abs(p - 1.0) > CERTIFICATION_TOL:
         raise ResonanceValidationError(
@@ -183,8 +177,6 @@ def _resonance(sys: BarrierSystem, E_r: float, index: int) -> Resonance:
             f"(> {CERTIFICATION_TOL}); not a resonance, or one too narrow to "
             "place in double precision"
         )
-    (_, k, _, _, _, hbar, m), log_scale, e, _, _, _, _, _, _, _ = sc
-    L = sys.L
     bracket = sc.width_bracket(L)
     if bracket <= 0.0:
         raise DegenerateResonanceError(f"width bracket {bracket} <= 0 at E_r={E_r} J")
@@ -209,14 +201,21 @@ def find_resonances(sys: BarrierSystem, E_min: float, E_max: float) -> list[Reso
         raise DomainError(
             f"window must satisfy 0 < E_min < E_max < U0, got ({E_min}, {E_max})"
         )
-    psi_lo, psi_hi = _psi(sys, E_min)[0], _psi(sys, E_max)[0]
+    L = sys.L
+    # sc is the record at the bracket's lower end: E_min, then each root.
+    sc, top = scaled_denominator(sys, E_min), scaled_denominator(sys, E_max)
+    psi_lo, psi_hi = sc.kin.k * L - sc.chi, top.kin.k * L - top.chi
     results: list[Resonance] = []
     lo = E_min
     for n in range(math.floor(psi_lo / math.pi - 0.5) + 1, math.ceil(psi_hi / math.pi - 0.5)):
         target = (n + 0.5) * math.pi
-        offset = _branch_offset(sys, n)
-        root = _illinois(offset, lo, E_max, psi_lo - target, psi_hi - target, offset(lo)[1])
-        results.append(_resonance(sys, root, len(results)))
+        offset = _branch_offset(L, n)
+        root = _illinois(
+            lambda E: offset(scaled_denominator(sys, E)),
+            lo, E_max, psi_lo - target, psi_hi - target, offset(sc)[1],
+        )
+        sc = scaled_denominator(sys, root)
+        results.append(_resonance(sc, L, len(results)))
         lo, psi_lo = root, target
     return results
 
@@ -278,7 +277,7 @@ def breit_wigner_width(sys: BarrierSystem, res: Resonance) -> float:
     gracefully instead of overflowing. Like find_resonances, it first
     certifies |A_T(E_r)|^2 = 1 within CERTIFICATION_TOL.
     """
-    return _resonance(sys, res.E_r, res.index).beta
+    return _resonance(scaled_denominator(sys, res.E_r), sys.L, res.index).beta
 
 
 def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
@@ -289,7 +288,7 @@ def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
     within CERTIFICATION_TOL of unity, as find_resonances requires) before
     evaluating, and G must be positive, as for breit_wigner_width.
     """
-    return _resonance(sys, res.E_r, res.index).tau_r
+    return _resonance(scaled_denominator(sys, res.E_r), sys.L, res.index).tau_r
 
 
 def bw_probability(res: Resonance, E: float) -> float:

@@ -398,6 +398,43 @@ def test_config_file_names_offending_field(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "doc, name",
+    [
+        ({"transmision": {}}, "transmision"),
+        ({"transmission": {"emin": 5}}, "emin"),
+        ({"resonances": {"fitmass": 127}}, "fitmass"),
+        ({"sweep": {"values": [300.0]}}, "values"),
+        ({"oracle_check": {"amp_tol": 1.0}}, "amp_tol"),
+    ],
+)
+@pytest.mark.parametrize("command", ["transmission", "resonances", "sweep", "oracle-check"])
+def test_config_rejects_unknown_names_in_every_section(capsys, tmp_path, command, doc, name):
+    # One rule for the whole document, whichever command reads it: a misspelt
+    # section or field is an error, not a default taken without a word.
+    cfg = tmp_path / "unknown.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: unknown") and repr(name) in err
+
+
+def test_config_fit_mass_fits_and_the_flag_wins(capsys, tmp_path):
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({"resonances": {"fit_mass": 127}}), encoding="utf-8")
+    expected = {}
+    for target in ("127", "125"):
+        code, out, _ = run_cli(capsys, "resonances", "--fit-mass", target)
+        assert code == 0
+        expected[target] = out
+    assert expected["127"] != expected["125"]
+    code, out, _ = run_cli(capsys, "resonances", "--config", str(cfg))
+    assert (code, out) == (0, expected["127"])
+    code, out, _ = run_cli(capsys, "resonances", "--config", str(cfg), "--fit-mass", "125")
+    assert (code, out) == (0, expected["125"])
+
+
+@pytest.mark.parametrize(
     "command, section",
     [
         ("transmission", "system"),

@@ -548,9 +548,9 @@ def certificates(monkeypatch):
     calls = [0]
     resonance = resonance_module._resonance
 
-    def counted(sys, E_r, index):
+    def counted(sc, L, index):
         calls[0] += 1
-        return resonance(sys, E_r, index)
+        return resonance(sc, L, index)
 
     monkeypatch.setattr(resonance_module, "_resonance", counted)
     return calls
@@ -566,13 +566,14 @@ def test_one_certifying_record_per_root(certificates):
     assert certificates[0] == 2
 
 
-def test_root_search_reads_at_most_8_records_per_root(records):
-    # The window ends, the Newton start at the previous root, every step of
-    # the root search and the certificate: 465 records for 65 roots.
+def test_root_search_reads_at_most_7_records_per_root(records):
+    # The window ends, every step of the root search and the certificate,
+    # whose record also gives the next branch its Newton start: 400 records
+    # for 65 roots.
     sys = BarrierSystem.from_lab_units(80.0, 230.0, 2e4, 1.0)
     found = find_resonances(sys, *full_window(sys))
     assert len(found) > 10
-    assert records[0] <= 8 * len(found)
+    assert records[0] <= 7 * len(found)
 
 
 @pytest.mark.parametrize("slope", [0.0, math.nan, -1.0, math.inf, 1e-300])
@@ -582,11 +583,22 @@ def test_a_bad_slope_leaves_the_roots_unchanged(monkeypatch, slope):
     # Illinois; no ZeroDivisionError or OverflowError escapes.
     systems = [neutron_system(), BarrierSystem.from_lab_units(80.0, 230.0, 2e4, 1.0)]
     expected = [find_resonances(sys, *full_window(sys)) for sys in systems]
-    psi = resonance_module._psi
-    monkeypatch.setattr(resonance_module, "_psi", lambda sys, E: (*psi(sys, E)[:3], slope))
+    branch_offset = resonance_module._branch_offset
+
+    class BadSlope(float):
+        """chi' as a number, but L - chi' is the bad slope."""
+
+        def __rsub__(self, other):
+            return slope
+
+    def patched(L, n):
+        offset = branch_offset(L, n)
+        return lambda sc: offset(sc._replace(chi_k=BadSlope(sc.chi_k)))
+
+    monkeypatch.setattr(resonance_module, "_branch_offset", patched)
     for sys in systems:
         for n, E in ((0, 0.5 * sys.U0), (3, 0.01 * sys.U0), (9, 0.9 * sys.U0)):
-            newton = resonance_module._branch_offset(sys, n)(E)[1]
+            newton = resonance_module._branch_offset(sys.L, n)(scaled_denominator(sys, E))[1]
             assert newton is None or newton == math.inf, (sys, n, E, newton)
     assert [find_resonances(sys, *full_window(sys)) for sys in systems] == expected
 

@@ -24,6 +24,7 @@ from tunnelkit import scenarios as scenarios_module
 from tunnelkit.kinematics import BarrierSystem, kinematics
 from tunnelkit.resonance import _resonance, find_resonances
 from tunnelkit.scenarios import run_neutron_scenario
+from tunnelkit.transmission import scaled_denominator
 
 # -- the reference: bisection on psi from kinematics ---------------------------
 
@@ -76,7 +77,8 @@ def ref_find_resonances(sys, E_min, E_max):
         root, evaluations = ref_bisect(
             ref_branch_offset(sys, n), lo, E_max, psi_lo - target, psi_hi - target
         )
-        results.append((_resonance(sys, root, len(results)), n, evaluations))
+        record = scaled_denominator(sys, root)
+        results.append((_resonance(record, sys.L, len(results)), n, evaluations))
         lo, psi_lo = root, target
     return results
 
@@ -104,18 +106,19 @@ BOXES = {
 }
 
 
-# Offset evaluations per root over a box's 150 systems, the Newton start at the
-# previous root included: about 15 % above the measured values in the comments.
+# Offset evaluations per root over a box's 150 systems. The Newton start is read
+# from the record already built at the previous root, so it is not one of them.
+# About 15 % above the measured values in the comments.
 MAX_EVALUATIONS_PER_ROOT = {
-    "filter": 8.9,  # 7.77
-    "moderate": 7.5,  # 6.49
-    "wide": 7.2,  # 6.24
-    "narrow": 7.2,  # 6.25
-    "oracle": 7.8,  # 6.77
-    "probe_opaque": 8.1,  # 7.01
-    "probe_moderate": 7.8,  # 6.81
-    "probe_wide": 7.1,  # 6.19
-    "probe_very_wide": 7.0,  # 6.05
+    "filter": 7.8,  # 6.77
+    "moderate": 6.3,  # 5.49
+    "wide": 6.0,  # 5.24
+    "narrow": 6.0,  # 5.25
+    "oracle": 6.6,  # 5.77
+    "probe_opaque": 6.9,  # 6.01
+    "probe_moderate": 6.7,  # 5.81
+    "probe_wide": 6.0,  # 5.19
+    "probe_very_wide": 5.8,  # 5.05
 }
 
 
@@ -147,12 +150,11 @@ def _sign_changes(values):
 
 @pytest.fixture
 def offset_evaluations(monkeypatch):
-    """Evaluations of each branch offset find_resonances builds, in order."""
+    """Evaluations of each branch offset find_resonances solves, in order."""
     counts = []
-    branch_offset = resonance_module._branch_offset
+    illinois = resonance_module._illinois
 
-    def counted(sys, n):
-        f = branch_offset(sys, n)
+    def counted(f, *args):
         counts.append(0)
         index = len(counts) - 1
 
@@ -160,9 +162,9 @@ def offset_evaluations(monkeypatch):
             counts[index] += 1
             return f(E)
 
-        return offset
+        return illinois(offset, *args)
 
-    monkeypatch.setattr(resonance_module, "_branch_offset", counted)
+    monkeypatch.setattr(resonance_module, "_illinois", counted)
     return counts
 
 
