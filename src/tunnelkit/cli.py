@@ -34,6 +34,7 @@ from .phase_time import _phase_time_of, phase_time, phase_time_numeric
 from .resonance import find_resonances, fit_effective_mass
 from .scatter_oracle import double_barrier_profile, solve
 from .scenarios import (
+    MEASURED_ANNOTATIONS,
     NEUTRON_BARRIER_HEIGHT_NEV,
     NEUTRON_BARRIER_WIDTH_ANGSTROM,
     NEUTRON_GAP_ANGSTROM,
@@ -228,7 +229,8 @@ def cmd_resonances(args, config: dict) -> int:
 
 
 def cmd_neutron(args, config: dict) -> int:
-    doc = run_neutron_scenario().to_json_dict()
+    doc = run_neutron_scenario()._asdict()
+    doc["annotations"] = MEASURED_ANNOTATIONS
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     if not args.check:
         return 0
@@ -270,10 +272,21 @@ def cmd_sweep(args, config: dict) -> int:
     table = hartman_sweep(sys_, joule_from_nev(energy_nev), axis, values)
     # Energy and lengths echo as given, not converted there and back.
     if fmt == "json":
-        doc = table.to_json_dict()
-        doc["energy_neV"] = energy_nev
-        for row, length in zip(doc["rows"], lengths):
-            row["sweep_value_angstrom"] = length
+        doc = {
+            "axis": axis,
+            "energy_neV": energy_nev,
+            "rows": [
+                {
+                    "sweep_value_angstrom": length,
+                    "probability": row.probability,
+                    "tau_exact_s": row.tau_exact,
+                    "tau_asymptotic_s": row.tau_asymptotic,
+                    "flagged": row.flagged,
+                    "flag_reason": row.flag_reason,
+                }
+                for length, row in zip(lengths, table.rows)
+            ],
+        }
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
         return 0
     lines = ["sweep_value_angstrom,probability,tau_exact_s,tau_asymptotic_s,flagged"]

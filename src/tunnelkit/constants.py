@@ -6,9 +6,11 @@ Everything internal is SI. Since the 2019 SI the electron-volt (so 1 neV =
 hbar is carried as its CODATA 2018 value, and the free neutron mass is
 CODATA 2018's. The values are fixed: no function takes another set.
 
-Every neV <-> J and angstrom <-> m conversion, in the library and at the
-CLI, goes through the four helpers below, so one input in lab units gives
-one double whichever entry point reads it. Keep this module
+Every neV <-> J conversion and every angstrom -> m conversion, in the
+library and at the CLI, goes through the three helpers below, so one input
+in lab units gives one double whichever entry point reads it. No metre ->
+angstrom helper is needed: the CLI writes each length back as the number
+it was given, not converted there and back. Keep this module
 dependency-free: the transfer-matrix reference engine imports it directly
 and must not pull in the closed-form machinery.
 """
@@ -22,7 +24,6 @@ __all__ = [
     "joule_from_nev",
     "nev_from_joule",
     "metre_from_angstrom",
-    "angstrom_from_metre",
 ]
 
 
@@ -51,7 +52,3 @@ def nev_from_joule(e_joule: float) -> float:
 
 def metre_from_angstrom(x_angstrom: float) -> float:
     return x_angstrom * CODATA2018.m_per_angstrom
-
-
-def angstrom_from_metre(x_metre: float) -> float:
-    return x_metre / CODATA2018.m_per_angstrom

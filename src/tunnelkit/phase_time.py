@@ -36,6 +36,7 @@ unconditionally, with no validity-region flagging.
 from __future__ import annotations
 
 import math
+from sys import float_info
 from typing import NamedTuple
 
 from .errors import DomainError, StepError
@@ -158,6 +159,9 @@ def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:
     to ~E_r/beta at one). So the error is about max(1, kL) 2^-52 O(1)/|dphi|
     relative: full precision over a resonance window, fewer digits as the
     window shrinks far below beta or kL reaches ~1e3 rad (L ~ 1e5 A).
+    Raises DomainError where L > 0 and 2 m L dE is not a normal double (on
+    the neutron filter, dE below about 3.4e-274 J), since a subnormal or
+    zero numerator would carry few or no digits of L (k_hi - k_lo).
     """
     if not (0.0 < E_lo < E_hi < sys.U0):
         raise DomainError(
@@ -168,6 +172,12 @@ def average_phase_time(sys: BarrierSystem, E_lo: float, E_hi: float) -> float:
     (_, k_lo, _, _, _, hbar, m), _, _, _, _, chi_lo, _, _, _, _ = lo
     (_, k_hi, _, _, _, _, _), _, _, _, _, chi_hi, _, _, _, _ = hi
     dE = E_hi - E_lo
-    d_kl = 2.0 * m * sys.L * dE / (hbar * hbar * (k_lo + k_hi))
+    two_m_l_de = 2.0 * m * sys.L * dE
+    if sys.L > 0.0 and two_m_l_de < float_info.min:
+        raise DomainError(
+            f"averaging window ({E_lo}, {E_hi}) J: 2 m L dE = {two_m_l_de} "
+            "is not a normal double"
+        )
+    d_kl = two_m_l_de / (hbar * hbar * (k_lo + k_hi))
     d_bounded = 2.0 * (chi_hi - chi_lo) + (_arg_z(hi) - _arg_z(lo))
     return hbar * (d_kl - d_bounded) / dE

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Literal, NamedTuple, Optional
 
-from .constants import CODATA2018, angstrom_from_metre, joule_from_nev, nev_from_joule
+from .constants import CODATA2018, joule_from_nev, nev_from_joule
 from .errors import DomainError, OpaqueBracketError
 from .kinematics import BarrierSystem
 from .phase_time import _phase_time_of, _phase_time_opaque_of, average_phase_time
@@ -71,11 +71,6 @@ class NeutronReport(NamedTuple):
     tau_r: float              # s
     tau_avg: float            # s
 
-    def to_json_dict(self) -> dict:
-        doc = self._asdict()
-        doc["annotations"] = dict(MEASURED_ANNOTATIONS)
-        return doc
-
 
 class SweepRow(NamedTuple):
     sweep_value: float               # m
@@ -90,23 +85,6 @@ class SweepTable(NamedTuple):
     axis: Literal["barrier_width", "gap_length"]
     energy: float                    # J
     rows: tuple[SweepRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "axis": self.axis,
-            "energy_neV": nev_from_joule(self.energy),
-            "rows": [
-                {
-                    "sweep_value_angstrom": angstrom_from_metre(r.sweep_value),
-                    "probability": r.probability,
-                    "tau_exact_s": r.tau_exact,
-                    "tau_asymptotic_s": r.tau_asymptotic,
-                    "flagged": r.flagged,
-                    "flag_reason": r.flag_reason,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def neutron_filter_system(mass_ratio: float = 1.0) -> BarrierSystem:

@@ -116,21 +116,17 @@ def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
     return tuple.__new__(ScaledDenominator, (kin, two_qa, e, w, w_k, chi, chi_k, c, s, mod_sq))
 
 
-def _scaled_z(sc: ScaledDenominator) -> complex:
-    """e (1 + 2w cos(psi) exp(i psi)) = D e exp(-2i chi)."""
-    two_wc = 2.0 * sc.w_scaled * sc.cos_psi
-    return complex(sc.e_neg + two_wc * sc.cos_psi, two_wc * sc.sin_psi)
-
-
 def _arg_z(sc: ScaledDenominator) -> float:
-    """arg z in (-pi/2, pi/2): Re z >= e > 0, so it is continuous in E."""
-    return cmath.phase(_scaled_z(sc))
+    """arg z of z = e (1 + 2w cos(psi) exp(i psi)) = D e exp(-2i chi), in
+    (-pi/2, pi/2): Re z >= e > 0, so it is continuous in E."""
+    two_wc = 2.0 * sc.w_scaled * sc.cos_psi
+    return cmath.phase(complex(sc.e_neg + two_wc * sc.cos_psi, two_wc * sc.sin_psi))
 
 
 def amplitude(sys: BarrierSystem, E: float) -> TransmissionResult:
     """Transmitted amplitude exp(-2ika)/D and probability 1/|D|^2."""
     (_, k, _, _, _, _, _), log_scale, e, w, _, chi, _, c, s, mod_sq = scaled_denominator(sys, E)
-    # exp(-2ika)/D = exp(-2i(ka + chi)) e conj(z)/|z|^2, as _scaled_z and log_mod_squared
+    # exp(-2ika)/D = exp(-2i(ka + chi)) e conj(z)/|z|^2, as in _arg_z and log_mod_squared
     two_wc = 2.0 * w * c
     num = complex(e + two_wc * c, two_wc * s).conjugate() * (e / mod_sq)
     amp = cmath.exp(-2j * (k * sys.a + chi)) * num

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from tunnelkit import cli, neutron_filter_system, probability
+from tunnelkit import (
+    cli,
+    hartman_sweep,
+    neutron_filter_system,
+    probability,
+    run_neutron_scenario,
+)
 from tunnelkit.cli import NEUTRON_CHECKS, main
-from tunnelkit.constants import joule_from_nev
+from tunnelkit.constants import joule_from_nev, metre_from_angstrom
+from tunnelkit.scenarios import MEASURED_ANNOTATIONS
 
 from neutron_reference import neutron_reference
 
@@ -133,6 +141,9 @@ def test_neutron_report_schema(capsys):
         "tau_avg",
         "annotations",
     ]
+    assert doc["annotations"] == MEASURED_ANNOTATIONS
+    del doc["annotations"]
+    assert doc == run_neutron_scenario()._asdict()
 
 
 def test_neutron_check_reports_known_violations(capsys, monkeypatch):
@@ -236,13 +247,26 @@ def test_sweep_json_echoes_its_energy(capsys):
 
 
 def test_sweep_json_echoes_its_lengths(capsys):
-    # Neither length survives angstrom -> metre -> angstrom unchanged.
-    code, out, _ = run_cli(
-        capsys, "sweep", "--axis", "gap_length", "--energy", "80.5",
-        "--values", "687.7363", "1498.4227", "--format", "json",
-    )
+    # Every length and the energy print as given, in both formats: 687.7363
+    # and 1498.4227, like about 1 in 10 seeded 4-decimal lengths, would not
+    # survive angstrom -> metre -> angstrom unchanged.
+    rng = random.Random(2020)
+    drawn = {round(rng.uniform(10.0, 5000.0), 4) for _ in range(200)}
+    lengths = sorted(drawn | {687.7363, 1498.4227})
+    typed = [f"{v:.12g}" for v in lengths]  # 2065.0 is typed as 2065
+    energy = round(rng.uniform(1.0, 229.0), 4)
+    argv = ["sweep", "--axis", "gap_length", "--energy", repr(energy), "--values", *typed]
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
-    assert [r["sweep_value_angstrom"] for r in json.loads(out)["rows"]] == [687.7363, 1498.4227]
+    doc = json.loads(out)
+    assert doc["energy_neV"] == energy
+    assert [r["sweep_value_angstrom"] for r in doc["rows"]] == lengths
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    column = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
+    assert column == typed
 
 
 def test_sweep_csv_and_flags(capsys):
@@ -274,6 +298,45 @@ def test_sweep_json_units(capsys):
     assert [r["sweep_value_angstrom"] for r in doc["rows"]] == pytest.approx(
         [100.0, 200.0]
     )
+
+
+def test_sweep_serialization_units(capsys):
+    # Keys in the order written; the energy (neV) and lengths (angstrom) as
+    # given, probability and times (s) as the library's rows.
+    lengths = [600.0, 812.5]
+    code, out, _ = run_cli(
+        capsys, "sweep", "--axis", "barrier_width", "--energy", "80.5",
+        "--values", "600", "812.5", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["axis", "energy_neV", "rows"]
+    assert doc["axis"] == "barrier_width"
+    assert doc["energy_neV"] == 80.5
+    table = hartman_sweep(
+        neutron_filter_system(), joule_from_nev(80.5), "barrier_width",
+        [metre_from_angstrom(v) for v in lengths],
+    )
+    assert doc["rows"] == [
+        {
+            "sweep_value_angstrom": length,
+            "probability": row.probability,
+            "tau_exact_s": row.tau_exact,
+            "tau_asymptotic_s": row.tau_asymptotic,
+            "flagged": row.flagged,
+            "flag_reason": row.flag_reason,
+        }
+        for length, row in zip(lengths, table.rows)
+    ]
+    for row in doc["rows"]:
+        assert list(row) == [
+            "sweep_value_angstrom",
+            "probability",
+            "tau_exact_s",
+            "tau_asymptotic_s",
+            "flagged",
+            "flag_reason",
+        ]
 
 
 def test_sweep_requires_axis_and_values(capsys):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -11,7 +10,6 @@ from tunnelkit.errors import DomainError, OpaqueBracketError
 from tunnelkit.kinematics import kinematics
 from tunnelkit.phase_time import hartman_limit, phase_time, phase_time_opaque
 from tunnelkit.scenarios import (
-    MEASURED_ANNOTATIONS,
     hartman_sweep,
     neutron_filter_system,
     run_neutron_scenario,
@@ -63,20 +61,6 @@ def test_report_fields_all_positive(report):
     assert report.beta > 0
     assert report.tau_r > 0
     assert report.tau_avg > 0
-
-
-def test_report_json_schema(report):
-    doc = report.to_json_dict()
-    assert list(doc) == [
-        "E_r_free_mass",
-        "fitted_mass_ratio",
-        "beta",
-        "tau_r",
-        "tau_avg",
-        "annotations",
-    ]
-    assert doc["annotations"] == MEASURED_ANNOTATIONS
-    json.dumps(doc)  # must be serializable as-is
 
 
 def test_width_sweep_converges_to_hartman_plateau(neutron):
@@ -270,19 +254,6 @@ def test_hartman_effect_remainder_falls_as_exp_minus_2qa(neutron, axis):
     for lo, hi in zip(ladder, ladder[1:]):
         rate = math.log(excess[lo] / excess[hi]) / (hi - lo)
         assert 1.8 <= rate <= 2.0
-
-
-def test_sweep_serialization_units(neutron):
-    E = 0.35 * neutron.U0
-    kin = kinematics(neutron, E)
-    values = [15.0 / kin.q, 20.0 / kin.q]
-    doc = hartman_sweep(neutron, E, "barrier_width", values).to_json_dict()
-    assert doc["axis"] == "barrier_width"
-    assert doc["energy_neV"] == pytest.approx(E * CODATA2018.neV_per_J, rel=1e-12)
-    assert doc["rows"][0]["sweep_value_angstrom"] == pytest.approx(
-        values[0] * 1e10, rel=1e-12
-    )
-    json.dumps(doc)
 
 
 def test_sweep_input_validation(neutron):

@@ -12,6 +12,8 @@ import cmath
 import random
 from collections import Counter
 
+import pytest
+
 from tunnelkit import (
     BarrierSystem,
     DomainError,
@@ -21,7 +23,9 @@ from tunnelkit import (
     double_barrier_profile,
     hartman_limit,
     log_probability,
+    neutron_filter_system,
     phase_time,
+    phase_time_numeric,
     phase_time_opaque,
     resonance_residual,
     solve,
@@ -71,3 +75,17 @@ def test_every_per_energy_function_is_finite_or_raises_a_tunnelkit_error():
         assert outcomes[name, DomainError.__name__] > 300, name
     for name in ("phase_time", "phase_time_opaque"):
         assert outcomes[name, DomainError.__name__] > outcomes["solve", DomainError.__name__]
+
+
+def test_phase_time_means_raise_where_2_m_L_dE_is_not_a_normal_double():
+    # On the neutron filter the gap term's numerator 2 m L dE is subnormal
+    # below dE ~ 3.4e-274 J (3.27e-320 at 1e-285 J) and 0.0 at 1e-290 J,
+    # where both means came out exactly 0.0 s.
+    sys = neutron_filter_system()
+    for call in (
+        lambda: average_phase_time(sys, 1e-290, 1.5e-290),
+        lambda: phase_time_numeric(sys, 1e-290),
+        lambda: average_phase_time(sys, 1e-285, 1.5e-285),
+    ):
+        with pytest.raises(DomainError, match="not a normal double"):
+            call()
