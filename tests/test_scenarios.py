@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from mpmath import mp
 
+from tunnelkit.cli import main
 from tunnelkit.constants import CODATA2018
 from tunnelkit.errors import DomainError, OpaqueBracketError
 from tunnelkit.kinematics import kinematics
 from tunnelkit.phase_time import hartman_limit, phase_time, phase_time_opaque
 from tunnelkit.scenarios import (
+    MEASURED_ANNOTATIONS,
     hartman_sweep,
     neutron_filter_system,
     run_neutron_scenario,
@@ -61,6 +64,23 @@ def test_report_fields_all_positive(report):
     assert report.beta > 0
     assert report.tau_r > 0
     assert report.tau_avg > 0
+
+
+def test_report_json_schema(report, capsys):
+    # The report's JSON document is the one `tunnelkit neutron` writes.
+    assert main(["neutron"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == [
+        "E_r_free_mass",
+        "fitted_mass_ratio",
+        "beta",
+        "tau_r",
+        "tau_avg",
+        "annotations",
+    ]
+    assert doc["annotations"] == MEASURED_ANNOTATIONS
+    del doc["annotations"]
+    assert doc == report._asdict()
 
 
 def test_width_sweep_converges_to_hartman_plateau(neutron):
