@@ -12,19 +12,18 @@ written t * exp(ikx) with the same origin, so for an empty profile t = 1
 and for the double barrier t is directly comparable to the closed-form
 amplitude.
 
-Scaling. The chain is kept in five locals (m11, m12, m21, m22, log_scale);
-transfer_matrix builds one TransferMatrix at the end, and solve reads the
-locals without one. Both records are built by the package's construction
-rule (one `tuple.__new__` call; see the kinematics module). Each interface applies
-[[p, n], [n, p]] with p, n = (1 +- rho)/2; each segment applies a diagonal
-scale. An evanescent segment of thickness d multiplies coefficients by
-exp(+-qd); the growing exponential goes into log_scale, so the entries stay
-O(1) and qa ~ 700 is overflow-free. Growth from mismatched interfaces
-(|rho| >> 1) is caught by the one rescaling rule, `_normalized`: after every
-step, and in `TransferMatrix.__matmul__`, the entries are divided by the
-largest |entry| when it leaves (1e-50, 1e50). The chain telescopes to
-determinant one for equal outer media; the transmitted amplitude uses that
-identity rather than the cancellation-prone computed determinant.
+Scaling. `_row` carries one row (r1, r2) of the chain from the right end of
+the profile to the left: solve walks (0, 1), the row (m21, m22) it reads,
+and transfer_matrix walks both rows and brings them to one log_scale. An
+interface applies [[p, n], [n, p]] with p, n = (1 +- rho)/2, a segment a
+diagonal scale. An evanescent segment of thickness d multiplies
+coefficients by exp(+-qd); the growing exponential goes into log_scale, so
+entries stay O(1) and qa ~ 700 is overflow-free. Growth from mismatched
+interfaces (|rho| >> 1) is caught by one rule, after every step of `_row`
+and in `_normalized`: entries are divided by the largest |entry| when it
+leaves (1e-50, 1e50). The chain telescopes to determinant one for equal
+outer media; the transmitted amplitude uses that identity rather than the
+cancellation-prone computed determinant.
 """
 
 from __future__ import annotations
@@ -44,6 +43,8 @@ __all__ = [
     "transfer_matrix",
     "solve",
 ]
+
+_TINY, _HUGE = 1e-50, 1e50  # the rescaling window (see _normalized)
 
 
 class _ProfileFields(NamedTuple):
@@ -100,31 +101,24 @@ class TransferMatrix(NamedTuple):
     log_scale: float
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return tuple.__new__(
-            TransferMatrix,
-            _normalized(
-                self.m11 * other.m11 + self.m12 * other.m21,
-                self.m11 * other.m12 + self.m12 * other.m22,
-                self.m21 * other.m11 + self.m22 * other.m21,
-                self.m21 * other.m12 + self.m22 * other.m22,
-                self.log_scale + other.log_scale,
-            )
-        )
+        a11, a12, a21, a22, scale_a = self
+        b11, b12, b21, b22, scale_b = other
+        return tuple.__new__(TransferMatrix, _normalized(
+            a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22, scale_a + scale_b,
+        ))
 
 
 def _normalized(
     m11: complex, m12: complex, m21: complex, m22: complex, log_scale: float
 ) -> tuple[complex, complex, complex, complex, float]:
-    """The one rescaling rule: pull the largest |entry| into exp(log_scale).
-
-    Applied only when that entry leaves (1e-50, 1e50), so entries that are
-    O(1) pass through with their bits untouched.
-    """
+    """The one rescaling rule: pull the largest |entry| into exp(log_scale)
+    when it leaves (_TINY, _HUGE), so entries that are O(1) pass through
+    with their bits untouched. _row inlines the rule for its row."""
     mag = max(abs(m11), abs(m12), abs(m21), abs(m22))
-    if mag == 0.0 or 1e-50 < mag < 1e50:
+    if mag == 0.0 or _TINY < mag < _HUGE:
         return m11, m12, m21, m22, log_scale
-    inv = 1.0 / mag
-    return m11 * inv, m12 * inv, m21 * inv, m22 * inv, log_scale + math.log(mag)
+    return m11 / mag, m12 / mag, m21 / mag, m22 / mag, log_scale + math.log(mag)
 
 
 def double_barrier_profile(sys) -> PotentialProfile:
@@ -159,59 +153,64 @@ def transfer_matrix(profile: PotentialProfile, E: float) -> TransferMatrix:
     compose by plain multiplication (the inner outer-medium interfaces of
     adjacent profiles cancel exactly).
     """
-    return tuple.__new__(TransferMatrix, _walk(profile, E)[0])
+    m11, m12, scale1, _ = _row(profile, E, 1.0, 0.0)
+    m21, m22, scale2, _ = _row(profile, E, 0.0, 1.0)
+    log_scale = max(scale1, scale2)
+    s1, s2 = math.exp(scale1 - log_scale), math.exp(scale2 - log_scale)
+    mat = _normalized(m11 * s1, m12 * s1, m21 * s2, m22 * s2, log_scale)
+    return tuple.__new__(TransferMatrix, mat)
 
 
-def _walk(
-    profile: PotentialProfile, E: float
-) -> tuple[tuple[complex, complex, complex, complex, float], float]:
-    """The entries of transfer_matrix and k times the summed segment widths, in
-    one pass over the segments; each distinct height's wavenumber is found once."""
+def _row(profile: PotentialProfile, E: float, r1: complex, r2: complex) -> tuple:
+    """(r1, r2) times transfer_matrix, its log_scale, and k times the summed
+    segment widths, in one pass over the segments from the right end to the
+    left; each distinct height's wavenumber is found once. max(|r1|, |r2|) is
+    taken by a conditional: calling the max builtin costs ~15 % of a walk."""
     if not 0.0 < E < math.inf:
         raise DomainError(f"energy must be finite and > 0, got {E} J")
-    hbar = CODATA2018.hbar
-    m = profile.m
+    hbar, m = CODATA2018.hbar, profile.m
     k_out = _segment_kappa(E, 0.0, m, hbar)
     kappas = {0.0: k_out}
-    m11, m12, m21, m22, log_scale = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0.0
-    kappa_prev, total_width = k_out, 0.0
-    for width, height in profile.segments:
+    log_scale, total_width, kappa_right = 0.0, 0.0, k_out
+    for width, height in reversed(profile.segments):
         total_width += width
         kappa = kappas.get(height)
         if kappa is None:
             kappa = kappas[height] = _segment_kappa(E, height, m, hbar)
-        # Interface: [[p, n], [n, p]] with rho = kappa_prev / kappa.
-        rho = kappa_prev / kappa
+        # Interface: [[p, n], [n, p]] with rho = kappa / kappa_right.
+        rho = kappa / kappa_right
         p, n = 0.5 * (1.0 + rho), 0.5 * (1.0 - rho)
-        m11, m12, m21, m22, log_scale = _normalized(
-            p * m11 + n * m21, p * m12 + n * m22,
-            n * m11 + p * m21, n * m12 + p * m22, log_scale,
-        )
+        r1, r2 = r1 * p + r2 * n, r1 * n + r2 * p
+        a1, a2 = abs(r1), abs(r2)
+        mag = a1 if a1 > a2 else a2
+        if not (mag == 0.0 or _TINY < mag < _HUGE):
+            r1, r2, log_scale = r1 / mag, r2 / mag, log_scale + math.log(mag)
         # Propagation: diag(e^{ikd}, e^{-ikd}); evanescent diag(e^{-qd}, e^{qd})
         # is written e^{qd} diag(e^{-2qd}, 1) with e^{qd} kept in log_scale.
         if kappa.imag == 0.0:
             phase = cmath.exp(1j * kappa.real * width)
-            inv_phase = 1.0 / phase
-            m11, m12 = phase * m11, phase * m12
-            m21, m22 = inv_phase * m21, inv_phase * m22
+            r1, r2 = r1 * phase, r2 / phase
         else:
             q = kappa.imag
-            decay = math.exp(-2.0 * q * width)
-            m11, m12, log_scale = decay * m11, decay * m12, log_scale + q * width
-        m11, m12, m21, m22, log_scale = _normalized(m11, m12, m21, m22, log_scale)
-        kappa_prev = kappa
-    rho = kappa_prev / k_out
+            r1, log_scale = r1 * math.exp(-2.0 * q * width), log_scale + q * width
+        a1, a2 = abs(r1), abs(r2)
+        mag = a1 if a1 > a2 else a2
+        if not (mag == 0.0 or _TINY < mag < _HUGE):
+            r1, r2, log_scale = r1 / mag, r2 / mag, log_scale + math.log(mag)
+        kappa_right = kappa
+    rho = k_out / kappa_right
     p, n = 0.5 * (1.0 + rho), 0.5 * (1.0 - rho)
-    mat = _normalized(
-        p * m11 + n * m21, p * m12 + n * m22,
-        n * m11 + p * m21, n * m12 + p * m22, log_scale,
-    )
-    return mat, k_out.real * total_width
+    r1, r2 = r1 * p + r2 * n, r1 * n + r2 * p
+    a1, a2 = abs(r1), abs(r2)
+    mag = a1 if a1 > a2 else a2
+    if not (mag == 0.0 or _TINY < mag < _HUGE):
+        r1, r2, log_scale = r1 / mag, r2 / mag, log_scale + math.log(mag)
+    return r1, r2, log_scale, k_out.real * total_width
 
 
 def solve(profile: PotentialProfile, E: float) -> ScatterSolution:
     """Transmission and reflection amplitudes for a wave incident from the left."""
-    (_, _, m21, m22, log_scale), k_width = _walk(profile, E)
+    m21, m22, log_scale, k_width = _row(profile, E, 0.0, 1.0)
     if m22 == 0:
         raise DegenerateMatchingError("singular transfer matrix")
     # (A_out, 0) = e^lam M (1, r); det(e^lam M) = 1 for equal outer media,

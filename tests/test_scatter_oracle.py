@@ -3,13 +3,17 @@ from __future__ import annotations
 import cmath
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from tunnelkit.constants import CODATA2018, joule_from_nev
 from tunnelkit.errors import DegenerateMatchingError, DomainError
+from tunnelkit.kinematics import BarrierSystem
+from tunnelkit.resonance import find_resonances
 from tunnelkit.scatter_oracle import (
     PotentialProfile,
     TransferMatrix,
@@ -20,6 +24,7 @@ from tunnelkit.scatter_oracle import (
 from tunnelkit.transmission import amplitude
 
 from conftest import neutron_system
+from neutron_reference import _transfer_t_r
 
 HBAR = CODATA2018.hbar
 M0 = CODATA2018.m_neutron
@@ -284,3 +289,49 @@ def test_unitarity_property(e_nev, heights, widths, mass_ratio):
     profile = PotentialProfile(tuple(segments), mass_ratio * M0)
     sol = solve(profile, E)
     assert sol.transmission + sol.reflection == pytest.approx(1.0, abs=1e-10)
+
+
+def _oracle_box_points(seed: int, systems: int):
+    """(system, E) pairs from the oracle workload's box: a 100-220 A,
+    L 50-1000 A, U0 150-300 neV, mass ratio 0.9-1.1; ten energies uniform in
+    (0.05, 0.95) U0 per system, and E_r +- 3 beta at each resonance there."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(systems):
+        sys = BarrierSystem.from_lab_units(
+            rng.uniform(100.0, 220.0), rng.uniform(150.0, 300.0),
+            rng.uniform(50.0, 1000.0), rng.uniform(0.9, 1.1),
+        )
+        points += [(sys, rng.uniform(0.05, 0.95) * sys.U0) for _ in range(10)]
+        for res in find_resonances(sys, 0.05 * sys.U0, 0.95 * sys.U0):
+            points += [(sys, res.E_r - 3.0 * res.beta), (sys, res.E_r + 3.0 * res.beta)]
+    return points
+
+
+def test_solve_matches_mpmath_transfer_matrix_in_the_oracle_box():
+    # The reference is built from the same doubles (hbar, m, E, a, L, U0) at
+    # 40 digits, so the comparison measures the walk's rounding alone.
+    points = _oracle_box_points(seed=2104, systems=24)
+    assert len(points) >= 300
+    worst = 0.0
+    with mp.workdps(40):
+        hbar = mp.mpf(HBAR)
+        for sys, E in points:
+            m, E_mp = mp.mpf(sys.m), mp.mpf(E)
+            k = mp.sqrt(2 * m * E_mp) / hbar
+            k_barrier = mp.sqrt(mp.mpc(2 * m * (E_mp - mp.mpf(sys.U0)))) / hbar
+            t_ref, r_ref = _transfer_t_r(k, k_barrier, mp.mpf(sys.a), mp.mpf(sys.L))
+            sol = solve(double_barrier_profile(sys), E)
+            for got, ref in ((sol.t, t_ref), (sol.r, r_ref)):
+                worst = max(worst, float(abs(mp.mpc(got) - ref) / abs(ref)))
+    assert worst < 1e-12
+
+
+def test_transfer_matrix_gives_the_transmission_of_solve():
+    for sys, E in _oracle_box_points(seed=2105, systems=10):
+        profile = double_barrier_profile(sys)
+        mat = transfer_matrix(profile, E)
+        k_width = math.sqrt(2.0 * sys.m * E) / HBAR * (2.0 * sys.a + sys.L)
+        # (A_out, 0) = e^lam M (1, r) with det(e^lam M) = 1: A_out = e^-lam / M22.
+        t = cmath.exp(complex(-mat.log_scale, -k_width)) / mat.m22
+        assert t == pytest.approx(solve(profile, E).t, rel=1e-14, abs=0.0)
