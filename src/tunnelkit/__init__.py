@@ -53,10 +53,8 @@ from .resonance import (
 from .scatter_oracle import (
     PotentialProfile,
     ScatterSolution,
-    TransferMatrix,
     double_barrier_profile,
     solve,
-    transfer_matrix,
 )
 from .scenarios import (
     NeutronReport,
@@ -123,9 +121,7 @@ __all__ = [
     # transfer-matrix reference engine
     "PotentialProfile",
     "ScatterSolution",
-    "TransferMatrix",
     "double_barrier_profile",
-    "transfer_matrix",
     "solve",
     # scenarios
     "NeutronReport",

@@ -320,6 +320,8 @@ def cmd_oracle_check(args, config: dict) -> int:
         E = joule_from_nev(e_nev)
         closed = amplitude(sys_, E).amplitude
         reference = solve(profile, E).t
+        if reference == 0:
+            raise DomainError(f"transfer-matrix amplitude underflows to 0 at E={e_nev:.6f} neV")
         dev_amp = abs(closed - reference) / abs(reference)
         if dev_amp > worst_amp[0]:
             worst_amp = (dev_amp, e_nev)

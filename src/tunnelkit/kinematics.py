@@ -143,9 +143,10 @@ def kinematics(sys: BarrierSystem, E: float) -> Kinematics:
 
     Energies at or above the barrier top are out of scope (q would turn
     imaginary) and raise DomainError, as do energies so close to either end
-    that 2mE or 2m(U0 - E) rounds to zero. Otherwise k and q are both above
-    1e-128 (the root of the smallest double, over hbar), so k q is a normal
-    double.
+    that 2mE or 2m(U0 - E) rounds to zero, and systems whose k^2 + q^2
+    overflows (a huge mass or U0). Otherwise k and q are both above 1e-128
+    (the root of the smallest double, over hbar), so k q is a normal double,
+    and k^2, q^2, delta and sigma are finite.
     """
     _, U0, _, m = sys
     if not E > 0.0:
@@ -162,6 +163,8 @@ def kinematics(sys: BarrierSystem, E: float) -> Kinematics:
         raise DomainError(f"energy {E} J too close to 0 or to U0={U0} J: k q underflows to 0")
     delta = (q * q - k * k) / kq
     sigma = (k * k + q * q) / kq
+    if not sigma < math.inf:
+        raise DomainError(f"k^2 + q^2 overflows at E={E} J, U0={U0} J, m={m} kg")
     return tuple.__new__(Kinematics, (E, k, q, delta, sigma, hbar, m))
 
 

@@ -62,8 +62,12 @@ def _transfer_t_r(k_free, k_barrier, a, L):
 
     Incidence from the left: (1, r) on the left maps to (t, 0) on the right.
     """
-    regions = (k_free, k_barrier, k_free, k_barrier, k_free)
-    edges = (0, a, a + L, 2 * a + L)
+    return _regions_t_r((k_free, k_barrier, k_free, k_barrier, k_free), (0, a, a + L, 2 * a + L))
+
+
+def _regions_t_r(regions, edges):
+    """t and r of the regions of wavenumbers `regions`, split at `edges`
+    (one fewer), with the matching of `_transfer_t_r`."""
     # columns: the images of (A, B) = (1, 0) and (0, 1) on the far left
     m11, m12, m21, m22 = 1, 0, 0, 1
     for j, x in enumerate(edges):

@@ -55,6 +55,31 @@ def test_transmission_at_energies_too_small_for_doubles_is_domain_error(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resonances", "--mass-ratio", "1e300"),
+        ("resonances", "--u0", "1e300"),
+        ("oracle-check", "--mass-ratio", "1e300", "--points", "2"),
+    ],
+    ids=["resonances-mass", "resonances-u0", "oracle-check-mass"],
+)
+def test_overflowing_wavenumbers_are_domain_error(capsys, argv):
+    # k^2 + q^2 overflows; these exited 1 with a ValueError or ZeroDivisionError
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: k^2 + q^2 overflows")
+
+
+def test_oracle_check_underflowing_reference_is_domain_error(capsys):
+    # At a = 1e5 A, solve's t underflows to 0: this divided by it and exited 1.
+    code, out, err = run_cli(capsys, "oracle-check", "--a", "100000", "--points", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "domain error: transfer-matrix amplitude underflows to 0 at E=11.500000 neV\n"
+
+
 @pytest.mark.parametrize("flag", ["--a", "--l", "--u0", "--mass-ratio"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_transmission_non_finite_system_is_config_error(capsys, flag, value):

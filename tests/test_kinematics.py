@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from tunnelkit.constants import CODATA2018, joule_from_nev, nev_from_joule
 from tunnelkit.errors import DomainError
 from tunnelkit.kinematics import BarrierSystem, hyperbolic_state, kinematics
+from tunnelkit.phase_time import hartman_limit
+from tunnelkit.resonance import resonance_residual
+from tunnelkit.transmission import amplitude, transmitted_phase
 
 from conftest import neutron_system
 
@@ -90,6 +93,17 @@ def test_energy_domain_errors(neutron):
         kinematics(neutron, neutron.U0)
     with pytest.raises(DomainError):
         kinematics(neutron, 1.5 * neutron.U0)
+
+
+@pytest.mark.parametrize(
+    "function",
+    [kinematics, amplitude, transmitted_phase, resonance_residual, hartman_limit],
+    ids=lambda f: f.__name__,
+)
+def test_overflowing_k_and_q_raise(function):
+    # m = 1e300 kg: k^2 and q^2 overflow. These returned nan, and hartman_limit 0.0.
+    with pytest.raises(DomainError, match="overflows"):
+        function(BarrierSystem(1e-9, 1e-20, 1e-9, 1e300), 5e-21)
 
 
 def test_half_height_energy_is_symmetric(neutron):
