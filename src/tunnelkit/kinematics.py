@@ -27,9 +27,9 @@ against, and as a name perfbench's tracer looks up.
 
 Overflow guard: cosh/sinh overflow double precision near qa ~ 355, and the
 quadratic combinations above already overflow near qa ~ 177. All values
-here are therefore stored scaled by exp(-2qa) alongside log_scale = 2qa;
-the plain attributes reconstruct the unscaled numbers (becoming inf once
-they genuinely exceed the double range).
+here are therefore stored scaled by exp(-2qa) alongside log_scale = 2qa,
+and only the scaled numbers are kept: every field stays finite up to
+qa ~ 700, where the unscaled ones would be inf.
 
 Every record here is an immutable NamedTuple, so no record needs
 `dataclasses`, whose import (with `inspect`) would make `import
@@ -60,14 +60,6 @@ __all__ = [
     "kinematics",
     "hyperbolic_state",
 ]
-
-
-def _exp(x: float) -> float:
-    """exp that saturates to inf instead of raising OverflowError."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 class _BarrierFields(NamedTuple):
@@ -171,7 +163,8 @@ def kinematics(sys: BarrierSystem, E: float) -> Kinematics:
 class HyperbolicState(NamedTuple):
     """u, v, w and their k-derivatives, stored scaled by exp(-2qa).
 
-    True values are <name>_scaled * exp(log_scale) with log_scale = 2qa.
+    True values, which overflow near qa ~ 355, are <name>_scaled *
+    exp(log_scale) with log_scale = 2qa (up_scaled is u' scaled, and so on).
     The extra fields e_neg = exp(-2qa) and its complement one_minus_e
     (computed with expm1 so small qa keeps full precision) are what the
     scaled identities, such as u~^2 + v~^2 = (e + w~)^2, are written in.
@@ -186,31 +179,6 @@ class HyperbolicState(NamedTuple):
     up_scaled: float      # m
     vp_scaled: float      # m
     wp_scaled: float      # m
-
-    # Unscaled views; inf once the true value exceeds the double range.
-    @property
-    def u(self) -> float:
-        return self.u_scaled * _exp(self.log_scale)
-
-    @property
-    def v(self) -> float:
-        return self.v_scaled * _exp(self.log_scale)
-
-    @property
-    def w(self) -> float:
-        return self.w_scaled * _exp(self.log_scale)
-
-    @property
-    def u_prime(self) -> float:
-        return self.up_scaled * _exp(self.log_scale)
-
-    @property
-    def v_prime(self) -> float:
-        return self.vp_scaled * _exp(self.log_scale)
-
-    @property
-    def w_prime(self) -> float:
-        return self.wp_scaled * _exp(self.log_scale)
 
 
 def hyperbolic_state(kin: Kinematics, a: float) -> HyperbolicState:
@@ -257,15 +225,5 @@ def hyperbolic_state(kin: Kinematics, a: float) -> HyperbolicState:
     vp_s = -(s2 / q) * chsh - ka_q * delta * (ch2 + sh2)
     wp_s = -(delta * s2 / (2.0 * q)) * sh2 - (ka_q * s2 / 2.0) * chsh
 
-    return HyperbolicState(
-        log_scale=two_qa,
-        e_neg=e_neg,
-        one_minus_e=one_minus_e,
-        u_scaled=u_s,
-        v_scaled=v_s,
-        w_scaled=w_s,
-        up_scaled=up_s,
-        vp_scaled=vp_s,
-        wp_scaled=wp_s,
-    )
+    return HyperbolicState(two_qa, e_neg, one_minus_e, u_s, v_s, w_s, up_s, vp_s, wp_s)
 

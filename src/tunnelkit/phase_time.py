@@ -40,7 +40,7 @@ from sys import float_info
 from typing import NamedTuple
 
 from .errors import DomainError, StepError
-from .kinematics import BarrierSystem, _exp, kinematics
+from .kinematics import BarrierSystem, kinematics
 from .transmission import ScaledDenominator, _arg_z, _overflow, _require_opaque, scaled_denominator
 
 __all__ = [
@@ -54,12 +54,11 @@ __all__ = [
 
 
 class PhaseTimeBreakdown(NamedTuple):
-    """Phase-time with its numerator P (m) and |D|^2; total is always finite,
-    the other two overflow to inf once qa is past ~88."""
+    """The exact phase-time, finite or a DomainError. Its numerator P and
+    |D|^2 are not kept: they overflow from qa ~ 178 (neutron filter, 0.4 U0);
+    P = total (hbar k / m) |D|^2, |D|^2 = mod_sq_scaled exp(2 log_scale)."""
 
     total: float        # s
-    P_value: float      # m
-    mod_squared: float
 
 
 def phase_time(sys: BarrierSystem, E: float) -> PhaseTimeBreakdown:
@@ -73,14 +72,13 @@ def _phase_time_of(sc: ScaledDenominator, L: float) -> PhaseTimeBreakdown:
     Lets a caller that needs both the probability and the phase-time at one
     energy evaluate scaled_denominator once.
     """
-    (_, k, _, _, _, hbar, m), log_scale, e, w, w_k, _, chi_k, c, s, den = sc
+    (_, k, _, _, _, hbar, m), _, e, w, w_k, _, chi_k, c, s, den = sc
     # (tau hbar k / m + chi') |D|^2 exp(-4qa): the two terms that carry L
     gap = e * ((L - chi_k) * (e + 2.0 * w) - 2.0 * w_k * s * c)
     total = (m / (hbar * k)) * (gap / den - chi_k)
     if not math.isfinite(total):
         raise _overflow(sc, "phase-time", total)
-    scale4 = _exp(2.0 * log_scale)
-    return tuple.__new__(PhaseTimeBreakdown, (total, (gap - chi_k * den) * scale4, den * scale4))
+    return tuple.__new__(PhaseTimeBreakdown, (total,))
 
 
 def phase_time_numeric(sys: BarrierSystem, E: float, rel_step: float = 1e-6) -> float:

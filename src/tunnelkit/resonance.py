@@ -292,16 +292,16 @@ def phase_time_at_resonance(sys: BarrierSystem, res: Resonance) -> float:
 
 
 def bw_probability(res: Resonance, E: float) -> float:
-    """Lorentzian transmission beta^2 / ((E - E_r)^2 + beta^2)."""
-    de = E - res.E_r
-    return res.beta**2 / (de * de + res.beta**2)
+    """Lorentzian transmission beta^2 / ((E - E_r)^2 + beta^2), written in
+    y = (E - E_r)/beta as 1/(1 + y^2): beta^2 underflows below ~1.5e-162 J."""
+    y = (E - res.E_r) / res.beta
+    return 1.0 / (1.0 + y * y)
 
 
 def bw_phase_time(sys: BarrierSystem, res: Resonance, E: float) -> float:
     """Near-resonance phase-time: free flight over the gap plus the
-    quasi-bound-state delay hbar beta / ((E - E_r)^2 + beta^2)."""
+    quasi-bound-state delay hbar beta / ((E - E_r)^2 + beta^2), written in
+    y = (E - E_r)/beta as (hbar/beta)/(1 + y^2), as bw_probability is."""
     kin = kinematics(sys, E)
-    de = E - res.E_r
-    return kin.m * sys.L / (kin.hbar * kin.k) + kin.hbar * res.beta / (
-        de * de + res.beta**2
-    )
+    y = (E - res.E_r) / res.beta
+    return kin.m * sys.L / (kin.hbar * kin.k) + (kin.hbar / res.beta) / (1.0 + y * y)

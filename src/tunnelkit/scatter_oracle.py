@@ -119,8 +119,9 @@ def solve(profile: PotentialProfile, E: float) -> ScatterSolution:
     """Transmission and reflection amplitudes for a wave incident from the left.
 
     Raises DomainError unless 0 < E < inf, or where a wavenumber underflows
-    to 0 or overflows (a huge mass or |E - height|); DegenerateMatchingError
-    where E coincides with a segment height.
+    to 0 or overflows (a huge mass or |E - height|), or where a phase k d
+    overflows (a segment, or the whole profile, wider than ~1e308 / k);
+    DegenerateMatchingError where E coincides with a segment height.
 
     Each distinct height's wavenumber is found once. max(|r1|, |r2|) is
     taken by a conditional: calling the max builtin costs ~15 % of a walk.
@@ -148,7 +149,10 @@ def solve(profile: PotentialProfile, E: float) -> ScatterSolution:
         # Propagation: diag(e^{ikd}, e^{-ikd}); evanescent diag(e^{-qd}, e^{qd})
         # is written e^{qd} diag(e^{-2qd}, 1) with e^{qd} kept in log_scale.
         if kappa.imag == 0.0:
-            phase = cmath.exp(1j * kappa.real * width)
+            kd = kappa.real * width
+            if not kd < math.inf:
+                raise DomainError(f"phase k d overflows in a segment of width {width} m at E={E} J")
+            phase = cmath.exp(1j * kd)
             r1, r2 = r1 * phase, r2 / phase
         else:
             q = kappa.imag
@@ -171,7 +175,10 @@ def solve(profile: PotentialProfile, E: float) -> ScatterSolution:
     # (r1, r2) is (M21, M22) and (A_out, 0) = e^lam M (1, r); det(e^lam M) = 1
     # for equal outer media, so A_out = e^-lam / M22 without forming the
     # cancellation-prone determinant.
-    a_out = cmath.exp(complex(-log_scale, -k_out.real * total_width)) / r2
+    kw = k_out.real * total_width
+    if not kw < math.inf and log_scale < math.inf:  # where log_scale is inf, t is 0
+        raise DomainError(f"phase k x overflows across a total width of {total_width} m at E={E} J")
+    a_out = cmath.exp(complex(-log_scale, -kw)) / r2
     return tuple.__new__(ScatterSolution, (a_out, -r1 / r2))
 
 

@@ -23,6 +23,17 @@ def opaque_x(sc) -> float:
     return sc.e_neg / bracket if bracket > 0.0 else math.inf
 
 
+def unscaled(state) -> tuple[float, ...]:
+    """(u, v, w, u', v', w') of a HyperbolicState: the scaled fields times
+    exp(log_scale), with math.exp raising OverflowError past qa ~ 355."""
+    scale = math.exp(state.log_scale)
+    return tuple(
+        x * scale
+        for x in (state.u_scaled, state.v_scaled, state.w_scaled,
+                  state.up_scaled, state.vp_scaled, state.wp_scaled)
+    )
+
+
 def neutron_system(mass_ratio: float = 1.0) -> BarrierSystem:
     return BarrierSystem.from_lab_units(
         NEUTRON_A_ANGSTROM, NEUTRON_U0_NEV, NEUTRON_L_ANGSTROM, mass_ratio

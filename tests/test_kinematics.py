@@ -14,7 +14,7 @@ from tunnelkit.phase_time import hartman_limit
 from tunnelkit.resonance import resonance_residual
 from tunnelkit.transmission import amplitude, transmitted_phase
 
-from conftest import neutron_system
+from conftest import neutron_system, unscaled
 
 NEV = 1.602176634e-28  # J
 
@@ -128,20 +128,20 @@ def test_sigma_delta_identity_on_neutron_grid(neutron):
 
 def test_hyperbolic_small_width_limits(neutron):
     kin = kinematics(neutron, 0.3 * neutron.U0)
-    st_ = hyperbolic_state(kin, 1e-20)
-    assert st_.u == pytest.approx(1.0, rel=1e-10)
-    assert st_.v == pytest.approx(0.0, abs=1e-10)
-    assert st_.w == pytest.approx(0.0, abs=1e-10)
-    assert st_.u_prime == pytest.approx(0.0, abs=1e-18)
+    u, v, w, u_prime, _, _ = unscaled(hyperbolic_state(kin, 1e-20))
+    assert u == pytest.approx(1.0, rel=1e-10)
+    assert v == pytest.approx(0.0, abs=1e-10)
+    assert w == pytest.approx(0.0, abs=1e-10)
+    assert u_prime == pytest.approx(0.0, abs=1e-18)
 
 
 def test_hyperbolic_delta_zero_form(neutron):
     kin = kinematics(neutron, 0.5 * neutron.U0)
-    st_ = hyperbolic_state(kin, neutron.a)
+    u, v, w, _, _, _ = unscaled(hyperbolic_state(kin, neutron.a))
     qa = kin.q * neutron.a
-    assert st_.v == pytest.approx(0.0, abs=1e-12 * st_.u)
-    assert st_.u == pytest.approx(math.cosh(qa) ** 2, rel=1e-12)
-    assert st_.w == pytest.approx(math.sinh(qa) ** 2, rel=1e-12)
+    assert v == pytest.approx(0.0, abs=1e-12 * u)
+    assert u == pytest.approx(math.cosh(qa) ** 2, rel=1e-12)
+    assert w == pytest.approx(math.sinh(qa) ** 2, rel=1e-12)
 
 
 def _state_at_k(sys: BarrierSystem, k: float):
@@ -153,13 +153,13 @@ def _state_at_k(sys: BarrierSystem, k: float):
 
 def test_derivatives_match_central_finite_differences(neutron):
     kin = kinematics(neutron, joule_from_nev(100.0))
-    st_ = hyperbolic_state(kin, neutron.a)
+    _, _, _, u_prime, v_prime, w_prime = unscaled(hyperbolic_state(kin, neutron.a))
     h = kin.k * 1e-7
-    lo = _state_at_k(neutron, kin.k - h)
-    hi = _state_at_k(neutron, kin.k + h)
-    assert st_.u_prime == pytest.approx((hi.u - lo.u) / (2 * h), rel=1e-6, abs=0)
-    assert st_.v_prime == pytest.approx((hi.v - lo.v) / (2 * h), rel=1e-6, abs=0)
-    assert st_.w_prime == pytest.approx((hi.w - lo.w) / (2 * h), rel=1e-6, abs=0)
+    lo = unscaled(_state_at_k(neutron, kin.k - h))
+    hi = unscaled(_state_at_k(neutron, kin.k + h))
+    assert u_prime == pytest.approx((hi[0] - lo[0]) / (2 * h), rel=1e-6, abs=0)
+    assert v_prime == pytest.approx((hi[1] - lo[1]) / (2 * h), rel=1e-6, abs=0)
+    assert w_prime == pytest.approx((hi[2] - lo[2]) / (2 * h), rel=1e-6, abs=0)
 
 
 def _identity_errors(kin, st_):
@@ -205,12 +205,11 @@ def test_identity_properties(u0_nev, e_frac, a_angstrom, mass_ratio):
 
 
 def test_identities_survive_enormous_opacity():
-    # qa ~ 500: the unscaled u, v, w overflow but the scaled identities hold.
+    # qa ~ 500: the unscaled u, v, w would overflow but the scaled identities hold.
     sys = neutron_system()
     kin = kinematics(sys, 0.4 * sys.U0)
     a_big = 500.0 / kin.q
     st_ = hyperbolic_state(kin, a_big)
-    assert math.isinf(st_.u)
     _, err8, err18, err21 = _identity_errors(kin, st_)
     assert err8 < 1e-10
     assert err18 < 1e-8
@@ -222,11 +221,12 @@ def test_scaled_representation_is_consistent(neutron):
     st_ = hyperbolic_state(kin, neutron.a)
     qa = kin.q * neutron.a
     assert st_.log_scale == pytest.approx(2 * qa, rel=1e-15)
-    assert st_.u == pytest.approx(
+    u, v, w, _, _, _ = unscaled(st_)
+    assert u == pytest.approx(
         math.cosh(qa) ** 2 - 0.25 * kin.delta**2 * math.sinh(qa) ** 2, rel=1e-12
     )
-    assert st_.v == pytest.approx(kin.delta * math.cosh(qa) * math.sinh(qa), rel=1e-12)
-    assert st_.w == pytest.approx(0.25 * kin.sigma_sq * math.sinh(qa) ** 2, rel=1e-12)
+    assert v == pytest.approx(kin.delta * math.cosh(qa) * math.sinh(qa), rel=1e-12)
+    assert w == pytest.approx(0.25 * kin.sigma_sq * math.sinh(qa) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("qa", [5.0, 12.0, 18.0, 20.0])

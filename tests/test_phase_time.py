@@ -27,7 +27,7 @@ from tunnelkit.resonance import (
     fit_effective_mass,
     phase_time_at_resonance,
 )
-from tunnelkit.transmission import probability, probability_opaque, scaled_denominator
+from tunnelkit.transmission import amplitude, probability, probability_opaque, scaled_denominator
 
 from conftest import OPAQUE_X_MAX, neutron_system, opaque_x
 from neutron_reference import DoubleBarrier
@@ -63,18 +63,7 @@ def test_vanishing_width_is_free_flight(neutron):
     E = joule_from_nev(100.0)
     bd = phase_time(sys, E)
     assert bd.total == pytest.approx(free_flight(sys, E), rel=1e-9, abs=0)
-    assert bd.P_value == pytest.approx(sys.L, rel=1e-9, abs=0)
-    assert bd.mod_squared == pytest.approx(1.0, rel=1e-9)
-
-
-def test_breakdown_is_consistent(neutron):
-    E = joule_from_nev(87.0)
-    bd = phase_time(neutron, E)
-    kin = kinematics(neutron, E)
-    assert bd.total == pytest.approx(
-        (kin.m / (kin.hbar * kin.k)) * bd.P_value / bd.mod_squared, rel=1e-12, abs=0
-    )
-    assert math.isfinite(bd.total)
+    assert amplitude(sys, E).probability == pytest.approx(1.0, rel=1e-9)
 
 
 def test_analytic_matches_numeric_on_grid(neutron):

@@ -485,6 +485,23 @@ def test_bw_phase_time_far_tail_is_free_flight():
     assert 0.0 < delay < kin.hbar / (400.0 * res.beta)
 
 
+def test_bw_forms_answer_where_beta_squared_underflows():
+    # U0 = 1e-160 J, a = 2/q and L = 3/k at 0.4 U0: the lowest certified root
+    # has beta ~ 1.8e-163 J, so beta^2 is 0.0 and the forms written with it
+    # divided 0 by 0 at E = E_r.
+    m, U0 = CODATA2018.m_neutron, 1e-160
+    kin = kinematics(BarrierSystem(1.0, U0, 0.0, m), 0.4 * U0)
+    sys = BarrierSystem(2.0 / kin.q, U0, 3.0 / kin.k, m)
+    res = find_resonances(sys, 1e-3 * U0, 0.999 * U0)[0]
+    assert res.beta * res.beta == 0.0
+    assert bw_probability(res, res.E_r) == 1.0
+    assert bw_probability(res, res.E_r + res.beta) == pytest.approx(0.5, rel=1e-12)
+    kin_r = kinematics(sys, res.E_r)
+    expected = kin_r.m * sys.L / (kin_r.hbar * kin_r.k) + kin_r.hbar / res.beta
+    assert bw_phase_time(sys, res, res.E_r) == pytest.approx(expected, rel=1e-12, abs=0)
+    assert bw_phase_time(sys, res, res.E_r) == pytest.approx(res.tau_r, rel=1e-6)
+
+
 def test_width_positive_and_energy_in_range():
     sys, res = fitted_neutron()
     assert res.beta > 0

@@ -121,6 +121,28 @@ def test_wavenumber_overflow_raises(profile, E):
         solve(profile, E)
 
 
+@pytest.mark.parametrize(
+    "segments",
+    [
+        ((1e305, 0.0),),                          # k d of one free segment
+        ((1e300, 0.0), (1e300, 0.0)),             # k x across the whole profile
+        ((1e305, 1e-25 * (1.0 + 1e-10)),),        # k x past a shallow barrier
+    ],
+    ids=["segment", "total", "shallow-barrier"],
+)
+def test_phase_overflow_raises(segments):
+    # cmath.exp of an infinite phase raised a bare ValueError
+    with pytest.raises(DomainError, match="phase k . overflows"):
+        solve(PotentialProfile(segments, M0), 1e-25)
+
+
+def test_opaque_profile_wider_than_the_phase_range_transmits_nothing():
+    # k x overflows here too, but q d does as well: |t| = 0, whatever its phase
+    sol = solve(PotentialProfile(((1e305, 1e-24),), M0), 1e-25)
+    assert sol.t == 0.0
+    assert sol.reflection == pytest.approx(1.0, rel=1e-12)
+
+
 def test_profile_rejects_zero_width():
     with pytest.raises(DomainError):
         PotentialProfile(((0.0, 1e-26),), M0)
