@@ -78,16 +78,6 @@ class ScaledDenominator(NamedTuple):
     def log_mod_squared(self) -> float:
         return 2.0 * self.log_scale + math.log(self.mod_sq_scaled)
 
-    def width_bracket(self, L: float) -> float:
-        """G exp(-2qa) in m, with G = wL - (1+w) chi_k > 0.
-
-        At a resonance (cos psi = 0) D' = dD/dE has modulus 2mG/(hbar^2 k),
-        so the Breit-Wigner half-width is beta = hbar^2 k / (2mG) and the
-        phase-time is tau_r = (m/hbar k)(L + 2G); away from it
-        u'v - uv' = 2(1+w) G at L = 0.
-        """
-        return self.w_scaled * L - (self.e_neg + self.w_scaled) * self.chi_k
-
 
 def scaled_denominator(sys: BarrierSystem, E: float) -> ScaledDenominator:
     """Evaluate the scaled Fabry-Perot record at energy E.

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from tunnelkit import resonance as resonance_module
 from tunnelkit.kinematics import BarrierSystem
+from tunnelkit.transmission import scaled_denominator
 
 # The cold-neutron interference filter geometry used throughout the suite:
 # barrier width 300 A, height 230 neV, gap 195 A.
@@ -44,3 +46,15 @@ def neutron_system(mass_ratio: float = 1.0) -> BarrierSystem:
 def neutron() -> BarrierSystem:
     return neutron_system()
 
+
+@pytest.fixture
+def records(monkeypatch):
+    """Counts the scaled_denominator records the resonance module builds."""
+    calls = [0]
+
+    def counted(sys, E):
+        calls[0] += 1
+        return scaled_denominator(sys, E)
+
+    monkeypatch.setattr(resonance_module, "scaled_denominator", counted)
+    return calls

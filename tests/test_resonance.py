@@ -29,7 +29,6 @@ from tunnelkit.resonance import (
 )
 from tunnelkit.scenarios import run_neutron_scenario
 from tunnelkit.transmission import (
-    ScaledDenominator,
     amplitude,
     probability,
     scaled_denominator,
@@ -434,14 +433,16 @@ def test_width_is_half_max_of_exact_profile():
 
 
 def test_wronskian_closed_form_matches_direct_arithmetic():
-    # u'v - uv' = 2(1 + w) G at L = 0, G the record's width bracket; both
+    # u'v - uv' = 2(1 + w) G at L = 0, where the width bracket
+    # G = wL - (1 + w) chi' is -(1 + w) chi', from the record's fields; both
     # sides scaled by exp(-4qa), the right one from the u/v/w route.
     sys, res = fitted_neutron()
     for E in (res.E_r, joule_from_nev(60.0), joule_from_nev(200.0)):
         sc = scaled_denominator(sys, E)
         st = hyperbolic_state(sc.kin, sys.a)
         direct = st.up_scaled * st.v_scaled - st.u_scaled * st.vp_scaled
-        closed = 2.0 * (sc.e_neg + sc.w_scaled) * sc.width_bracket(0.0)
+        bracket_at_zero_gap = -(sc.e_neg + sc.w_scaled) * sc.chi_k
+        closed = 2.0 * (sc.e_neg + sc.w_scaled) * bracket_at_zero_gap
         assert closed == pytest.approx(direct, rel=1e-12, abs=0)
 
 
@@ -547,19 +548,6 @@ def test_each_root_carries_the_beta_and_tau_r_it_is_certified_with():
 
 
 @pytest.fixture
-def records(monkeypatch):
-    """Counts the scaled_denominator records the resonance module builds."""
-    calls = [0]
-
-    def counted(sys, E):
-        calls[0] += 1
-        return scaled_denominator(sys, E)
-
-    monkeypatch.setattr(resonance_module, "scaled_denominator", counted)
-    return calls
-
-
-@pytest.fixture
 def certificates(monkeypatch):
     """Counts the roots the resonance module certifies (_resonance calls)."""
     calls = [0]
@@ -583,14 +571,14 @@ def test_one_certifying_record_per_root(certificates):
     assert certificates[0] == 2
 
 
-def test_root_search_reads_at_most_7_records_per_root(records):
-    # The window ends, every step of the root search and the certificate,
-    # whose record also gives the next branch its Newton start: 400 records
-    # for 65 roots.
+def test_root_search_reads_at_most_6_records_per_root(records):
+    # The window ends and every step of the root search; the certificate is
+    # the record of the step that placed the root, and it also gives the next
+    # branch its Newton start: 335 records for 65 roots.
     sys = BarrierSystem.from_lab_units(80.0, 230.0, 2e4, 1.0)
     found = find_resonances(sys, *full_window(sys))
     assert len(found) > 10
-    assert records[0] <= 7 * len(found)
+    assert records[0] <= 6 * len(found)
 
 
 @pytest.mark.parametrize("slope", [0.0, math.nan, -1.0, math.inf, 1e-300])
@@ -608,23 +596,56 @@ def test_a_bad_slope_leaves_the_roots_unchanged(monkeypatch, slope):
         def __rsub__(self, other):
             return slope
 
-    def patched(L, n):
-        offset = branch_offset(L, n)
-        return lambda sc: offset(sc._replace(chi_k=BadSlope(sc.chi_k)))
+    def patched(sys, L, n):
+        offset = branch_offset(sys, L, n)
+
+        def bad_slope(E, sc=None):
+            sc = scaled_denominator(sys, E) if sc is None else sc
+            return offset(E, sc._replace(chi_k=BadSlope(sc.chi_k)))
+
+        return bad_slope
 
     monkeypatch.setattr(resonance_module, "_branch_offset", patched)
     for sys in systems:
         for n, E in ((0, 0.5 * sys.U0), (3, 0.01 * sys.U0), (9, 0.9 * sys.U0)):
-            newton = resonance_module._branch_offset(sys.L, n)(scaled_denominator(sys, E))[1]
+            newton = resonance_module._branch_offset(sys, sys.L, n)(E)[1]
             assert newton is None or newton == math.inf, (sys, n, E, newton)
     assert [find_resonances(sys, *full_window(sys)) for sys in systems] == expected
 
 
 def test_non_positive_width_bracket_is_degenerate_for_beta_and_tau_r(monkeypatch):
+    # The record _resonance receives at E_r keeps its certificate (|D|^2 = 1)
+    # but has w = 0 and chi' = 0, so G = wL - (1 + w) chi' = 0.
     sys = neutron_system()
     (res,) = find_resonances(sys, *full_window(sys))
-    monkeypatch.setattr(ScaledDenominator, "width_bracket", lambda self, L: 0.0)
+
+    def flat(sys, E):
+        return scaled_denominator(sys, E)._replace(w_scaled=0.0, chi_k=0.0)
+
+    monkeypatch.setattr(resonance_module, "scaled_denominator", flat)
     with pytest.raises(DegenerateResonanceError):
         breit_wigner_width(sys, res)
     with pytest.raises(DegenerateResonanceError):
         phase_time_at_resonance(sys, res)
+
+
+# -- Breit-Wigner inputs ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("beta", [0.0, math.nan, -1e-28, math.inf])
+def test_bw_forms_raise_unless_beta_is_finite_and_positive(beta):
+    sys = neutron_system()
+    (res,) = find_resonances(sys, *full_window(sys))
+    bad = res._replace(beta=beta)
+    with pytest.raises(DomainError):
+        bw_probability(bad, res.E_r)
+    with pytest.raises(DomainError):
+        bw_phase_time(sys, bad, res.E_r)
+
+
+@pytest.mark.parametrize("E", [math.nan, -1.0, 0.0, math.inf])
+def test_bw_probability_raises_unless_energy_is_finite_and_positive(E):
+    sys = neutron_system()
+    (res,) = find_resonances(sys, *full_window(sys))
+    with pytest.raises(DomainError):
+        bw_probability(res, E)

@@ -203,6 +203,51 @@ def test_roots_match_bisection_with_no_more_evaluations(box, offset_evaluations)
     assert evaluations_total <= MAX_EVALUATIONS_PER_ROOT[box] * roots, evaluations_total / roots
 
 
+@pytest.mark.parametrize("box", BOXES)
+def test_no_record_is_built_outside_the_search(box, offset_evaluations, records):
+    # The two window ends, then one record per evaluation of a branch offset:
+    # the Newton start of each branch and the certificate of each root are
+    # read from records already built.
+    scans = 0
+    for sys in _seeded_systems(box, 40):
+        offset_evaluations.clear()
+        records[0] = 0
+        found = _outcome(find_resonances, sys, 1e-3 * sys.U0, 0.999 * sys.U0)
+        if isinstance(found, str):
+            continue
+        scans += 1
+        assert records[0] == 2 + sum(offset_evaluations), (sys, records[0], offset_evaluations)
+    assert scans >= 30
+
+
+@pytest.mark.parametrize("box", BOXES)
+def test_each_root_is_built_from_its_own_record(box, monkeypatch):
+    # The record handed back with each root is the one at the root the solver
+    # returned, not the one at the other end of the final bracket: the
+    # Resonance equals the one built from a fresh record there.
+    placed = []
+    illinois = resonance_module._illinois
+
+    def recorded(*args):
+        root, record = illinois(*args)
+        placed.append(root)
+        return root, record
+
+    monkeypatch.setattr(resonance_module, "_illinois", recorded)
+    roots = 0
+    for sys in _seeded_systems(box, 40):
+        placed.clear()
+        found = _outcome(find_resonances, sys, 1e-3 * sys.U0, 0.999 * sys.U0)
+        if isinstance(found, str):
+            continue
+        assert len(placed) == len(found), sys
+        for i, (res, root) in enumerate(zip(found, placed)):
+            fresh = _resonance(scaled_denominator(sys, root), sys.L, i)
+            assert repr(res) == repr(fresh), (sys, res, fresh)
+            roots += 1
+    assert roots >= 40
+
+
 def test_neutron_scenario_roots_match_bisection(monkeypatch):
     # Both of the scenario's scans, at the free and at the fitted mass.
     scans = []
