@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .constants import CODATA2018
 from .errors import (
-    DegenerateMatchingError,
     DegenerateResonanceError,
     DomainError,
     MassFitError,
@@ -88,7 +87,6 @@ __all__ = [
     "DegenerateResonanceError",
     "ResonanceValidationError",
     "MassFitError",
-    "DegenerateMatchingError",
     # kinematics
     "BarrierSystem",
     "Kinematics",

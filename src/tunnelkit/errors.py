@@ -15,7 +15,6 @@ __all__ = [
     "DegenerateResonanceError",
     "ResonanceValidationError",
     "MassFitError",
-    "DegenerateMatchingError",
 ]
 
 
@@ -64,7 +63,3 @@ class ResonanceValidationError(TunnelkitError):
 
 class MassFitError(TunnelkitError):
     """Mass bracket does not enclose a sign change of the residual."""
-
-
-class DegenerateMatchingError(TunnelkitError):
-    """Energy coincides with a segment height; plane-wave matching breaks."""

@@ -6,12 +6,12 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from tunnelkit.constants import CODATA2018, joule_from_nev
-from tunnelkit.errors import DegenerateMatchingError, DomainError
+from tunnelkit.errors import DomainError, TunnelkitError
 from tunnelkit.kinematics import BarrierSystem
 from tunnelkit.resonance import find_resonances
 from tunnelkit.scatter_oracle import PotentialProfile, double_barrier_profile, solve
@@ -90,9 +90,49 @@ def test_vanishing_barrier_width_is_transparent(neutron):
     assert sol.transmission == pytest.approx(1.0, rel=1e-9)
 
 
-def test_degenerate_energy_raises(neutron):
-    with pytest.raises(DegenerateMatchingError):
-        solve(double_barrier_profile(neutron), neutron.U0)
+@pytest.mark.parametrize(
+    "d, m, E, height",
+    [
+        (1e-10, M0, joule_from_nev(100.0), joule_from_nev(100.0)),
+        (300e-10, M0, joule_from_nev(100.0), joule_from_nev(100.0)),
+        (3000e-10, M0, joule_from_nev(100.0), joule_from_nev(100.0)),
+        # 2 m |E - height| underflows to 0 on either side of E: the same limit
+        (7.5e120, 1e-30, 1e-280, math.nextafter(1e-280, math.inf)),
+        (7.5e120, 1e-30, 1e-280, math.nextafter(1e-280, 0.0)),
+    ],
+    ids=["1A", "300A", "3000A", "underflow-above", "underflow-below"],
+)
+def test_segment_at_its_height_is_the_d_limit(d, m, E, height):
+    # The segment matrix tends to [[1, d], [0, 1]]: t = e^{-ikd} / (1 - ikd/2).
+    k = math.sqrt(2 * m * E) / HBAR
+    sol = solve(PotentialProfile(((d, height),), m), E)
+    assert sol.t == pytest.approx(cmath.exp(-1j * k * d) / (1 - 0.5j * k * d), rel=1e-12)
+
+
+def _mp_psi_t_r(segments, m, E):
+    """t and r from the full (psi, psi') transfer matrix at the working
+    precision, regular at E = height, from the same doubles."""
+    hbar, m, E = mp.mpf(HBAR), mp.mpf(m), mp.mpf(E)
+    k = mp.sqrt(2 * m * E) / hbar
+    chain, width = mp.eye(2), mp.mpf(0)
+    for d, height in segments:
+        d = mp.mpf(d)
+        kappa = mp.sqrt(mp.mpc(2 * m * (E - mp.mpf(height)))) / hbar
+        sinc = mp.sin(kappa * d) / (kappa * d) if kappa else mp.mpf(1)
+        step = mp.matrix([[mp.cos(kappa * d), d * sinc], [-kappa**2 * d * sinc, mp.cos(kappa * d)]])
+        chain, width = step * chain, width + d
+    # chain (1 + r, ik(1 - r)) = t e^{ikX} (1, ik), solved for (t e^{ikX}, r)
+    a, b = chain * mp.matrix([1, 1j * k]), chain * mp.matrix([1, -1j * k])
+    x = mp.lu_solve(mp.matrix([[1, -b[0]], [1j * k, -b[1]]]), a)
+    return complex(x[0] * mp.expj(-k * width)), complex(x[1])
+
+
+def test_double_barrier_at_its_height_matches_mpmath(neutron):
+    profile = double_barrier_profile(neutron)
+    t_ref, r_ref = stable(lambda: _mp_psi_t_r(profile.segments, neutron.m, neutron.U0), 60)
+    sol = solve(profile, neutron.U0)
+    assert sol.t == pytest.approx(t_ref, rel=1e-12, abs=0.0)
+    assert sol.r == pytest.approx(r_ref, rel=0.0, abs=1e-12)
 
 
 def test_energy_must_be_positive(neutron):
@@ -102,7 +142,7 @@ def test_energy_must_be_positive(neutron):
 
 @pytest.mark.parametrize("E", [math.inf, math.nan])
 def test_energy_must_be_finite(neutron, E):
-    # E = inf used to raise DegenerateMatchingError against the outer medium
+    # E = inf used to raise a matching error against the outer medium
     with pytest.raises(DomainError):
         solve(double_barrier_profile(neutron), E)
 
@@ -220,15 +260,16 @@ def test_unitarity_four_deep_barriers(neutron):
 
 
 def _mismatched_layer(E: float) -> PotentialProfile:
-    # A qd = 1 layer 1e-10 relative above E: |rho| ~ 1e5 at its interfaces, so
-    # the matrix grows ~1e4 per layer with no exponential for log_scale to hold.
+    # A qd = 1 layer 1e-10 relative above E: q ~ 1e-5 k, so its sinh(qd)/q ~ 1e5/k
+    # dwarfs the free 1/k, and the row grows ~1e4 per layer with no exponential
+    # for log_scale to hold.
     height = E * (1.0 + 1e-10)
     return PotentialProfile(((1.0 / _evanescent_q(E, height), height), (100e-10, 0.0)), M0)
 
 
 def test_rescaling_fires_and_keeps_unitarity():
     # ~1e400 unscaled after 100 layers: past overflow unless the walk rescales
-    # mid-way, and r comes out nan without it.
+    # mid-way (8 times), and r comes out nan without it.
     E = joule_from_nev(100.0)
     sol = solve(PotentialProfile(_mismatched_layer(E).segments * 100, M0), E)
     assert sol.transmission == 0.0  # below the double-precision floor
@@ -260,14 +301,13 @@ def test_deep_tunneling_stays_finite(neutron):
     widths=st.lists(st.floats(5.0, 400.0), min_size=5, max_size=5),
     mass_ratio=st.floats(0.2, 5.0),
 )
+@example(e_nev=100.0, heights=[230.0, 100.0, 230.0], widths=[300.0, 195.0, 300.0, 5.0, 5.0],
+         mass_ratio=1.0)  # a segment exactly at E
 def test_unitarity_property(e_nev, heights, widths, mass_ratio):
     E = joule_from_nev(e_nev)
     segments = []
     for h_nev, w_ang in zip(heights, widths):
-        height = joule_from_nev(h_nev)
-        if abs(E - height) <= 1e-9 * max(E, abs(height)):
-            height *= 1.01  # stay away from the degenerate-matching guard
-        segments.append((w_ang * 1e-10, height))
+        segments.append((w_ang * 1e-10, joule_from_nev(h_nev)))
     profile = PotentialProfile(tuple(segments), mass_ratio * M0)
     sol = solve(profile, E)
     assert sol.transmission + sol.reflection == pytest.approx(1.0, abs=1e-10)
@@ -338,3 +378,49 @@ def test_solve_matches_mpmath_transfer_matrix_on_random_profiles():
         sol = solve(PotentialProfile(segments, m), E)
         assert sol.t == pytest.approx(t_ref, rel=1e-12, abs=0.0)
         assert sol.r == pytest.approx(r_ref, rel=0.0, abs=1e-12)
+
+
+def test_thin_deep_well_keeps_unitarity():
+    # A well 1e-95 J deep at E = 1e-142 J: k'/k ~ 3e23 and k' d ~ 6e-39. The
+    # plane-wave walk's interface products cancelled here, giving T + R = 2.8e29.
+    segments = ((2.261016705664373e-11, -1.825801136317172e-95),)
+    m, E = 4.4962538446114434e-29, 9.57719726477895e-143
+    t_ref, r_ref = stable(lambda: _mp_profile_t_r(segments, m, E), 60)
+    sol = solve(PotentialProfile(segments, m), E)
+    assert abs(sol.t - t_ref) < 1e-12 and abs(sol.r - r_ref) < 1e-12
+    assert sol.transmission + sol.reflection == pytest.approx(1.0, abs=1e-12)
+
+
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def test_extreme_inputs_are_unitary_or_raise():
+    # m 1e-60-1e300 kg, E 1e-300-1e300 J, heights 0 or +-1e-300-1e300 J,
+    # widths 1e-12-1e-5 m, 1-4 segments: no finite result off unitarity.
+    rng = random.Random(28)
+    finite = 0
+    for _ in range(20_000):
+        m, E = _log_uniform(rng, 1e-60, 1e300), _log_uniform(rng, 1e-300, 1e300)
+        segments = tuple(
+            (_log_uniform(rng, 1e-12, 1e-5), 0.0 if rng.random() < 0.2
+             else rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-300, 1e300))
+            for _ in range(rng.randint(1, 4))
+        )
+        try:
+            sol = solve(PotentialProfile(segments, m), E)
+        except TunnelkitError:
+            continue
+        assert cmath.isfinite(sol.t) and cmath.isfinite(sol.r), (segments, m, E)
+        assert abs(sol.transmission + sol.reflection - 1.0) < 1e-6, (segments, m, E)
+        finite += 1
+    assert finite > 10_000
+
+
+def test_walk_overflow_raises():
+    # A free segment at E's height and 1e300 m wide, left of a layer that left
+    # v1 ~ 1e49: its d v1 overflows, and r would come out nan.
+    E = HBAR**2 / (2 * M0)  # k = 1 / m
+    segments = ((1e300, E), (1e-40, 1e98 * E))
+    with pytest.raises(DomainError, match="walk overflows"):
+        solve(PotentialProfile(segments, M0), E)
