@@ -11,8 +11,6 @@ construction does. All operations are pure functions of their inputs, so
 the API is safe for concurrent use without synchronization.
 """
 
-from __future__ import annotations
-
 from .constants import CODATA2018
 from .errors import (
     DegenerateResonanceError,

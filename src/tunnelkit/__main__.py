@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 from .cli import main
 
 if __name__ == "__main__":

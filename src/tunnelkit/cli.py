@@ -14,8 +14,6 @@ Exit codes are frozen for CI use:
     5 oracle-check threshold violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -175,7 +173,9 @@ def cmd_transmission(args, config: dict) -> int:
     sys_ = _build_system(args, config)
     section = config.get("transmission", {})
     e_min = _number(section, "e_min_neV", 1.0, args.emin)
-    e_max = _number(section, "e_max_neV", 229.0, args.emax)
+    e_max = _number(
+        section, "e_max_neV", min(229.0, 0.999 * nev_from_joule(sys_.U0)), args.emax
+    )
     points = _points(section, 201, args.points)
     fmt = args.format or section.get("format", "csv")
     if fmt not in ("csv", "json"):
@@ -257,7 +257,9 @@ def cmd_sweep(args, config: dict) -> int:
     axis = args.axis or section.get("axis")
     if axis not in ("barrier_width", "gap_length"):
         raise ConfigError(f"axis must be barrier_width or gap_length, got {axis!r}")
-    energy_nev = _number(section, "energy_neV", 80.5, args.energy)
+    energy_nev = _number(
+        section, "energy_neV", min(80.5, 0.35 * nev_from_joule(sys_.U0)), args.energy
+    )
     values_ang = args.values or section.get("values_angstrom")
     if not (isinstance(values_ang, list) and values_ang):
         raise ConfigError(

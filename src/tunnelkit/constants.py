@@ -15,8 +15,6 @@ dependency-free: the transfer-matrix reference engine imports it directly
 and must not pull in the closed-form machinery.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 __all__ = [

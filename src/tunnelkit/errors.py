@@ -4,8 +4,6 @@ The CLI maps these onto its exit-code contract, so user-facing entry
 points catch the base classes rather than bare ValueError.
 """
 
-from __future__ import annotations
-
 __all__ = [
     "TunnelkitError",
     "DomainError",

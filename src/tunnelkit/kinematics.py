@@ -45,8 +45,6 @@ validates and whose `_make` goes through `__new__`, so `_replace` and
 unpickling validate too.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

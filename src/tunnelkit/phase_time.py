@@ -33,8 +33,6 @@ approximation underlying the phase-time itself is applied
 unconditionally, with no validity-region flagging.
 """
 
-from __future__ import annotations
-
 import math
 from sys import float_info
 from typing import NamedTuple

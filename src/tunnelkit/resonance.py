@@ -53,8 +53,6 @@ ulp of E moves psi by about kL 2^-53. find_resonances then raises rather
 than return an uncertified root.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -161,7 +159,7 @@ def _branch_offset(sys: BarrierSystem, L: float, n: int):
     """
     target, sign = (n + 0.5) * math.pi, (-1.0) ** (n + 1)
 
-    def offset(E: float, sc: ScaledDenominator | None = None):
+    def offset(E, sc=None):
         if sc is None:
             sc = scaled_denominator(sys, E)
         (E, k, _, _, _, _, _), _, _, _, _, chi, chi_k, c, _, _ = sc
@@ -274,7 +272,7 @@ def fit_effective_mass(
 
     # Only the bracket ends go through BarrierSystem's checks: every mass strictly
     # between two valid ends is finite and positive, so g builds its system unchecked.
-    def g(m: float) -> tuple[float, None, None]:
+    def g(m):
         return resonance_residual(tuple.__new__(BarrierSystem, (a, U0, L, m)), E_r_target), None, None
 
     g_lo = resonance_residual(BarrierSystem(a, U0, L, m_lo), E_r_target)

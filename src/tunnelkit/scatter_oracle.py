@@ -29,8 +29,6 @@ t e^{ikX} (1, ik) at the right end X, and det M = 1 gives t without
 forming the cancellation-prone determinant.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from typing import NamedTuple

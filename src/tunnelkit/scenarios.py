@@ -18,8 +18,6 @@ parameter x = 1/(w cos^2 psi) exceeds 0.01 (near a resonance, or where the
 barriers are too thin or transparent for the expansion).
 """
 
-from __future__ import annotations
-
 import math
 from typing import Literal, NamedTuple, Optional
 

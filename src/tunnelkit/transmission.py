@@ -29,8 +29,6 @@ immutable NamedTuples, built and read by the construction rule stated in
 the kinematics module: one `tuple.__new__` call, one unpacking.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from typing import NamedTuple

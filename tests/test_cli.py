@@ -45,6 +45,30 @@ def test_transmission_grid_bound_above_barrier_is_domain_error(capsys):
     assert "domain error" in err
 
 
+def test_transmission_default_grid_follows_a_lower_barrier(capsys):
+    # The default top is min(229, 0.999 U0) neV: at U0 = 200 the 229 neV
+    # top lay above the barrier and the command exited 3 on its own defaults.
+    code, out, err = run_cli(capsys, "transmission", "--u0", "200", "--points", "3")
+    assert (code, err) == (0, "")
+    assert [row.split(",")[0] for row in out.split("\n")[1:-1]] == ["1", "100.4", "199.8"]
+    assert run_cli(capsys, "transmission", "--u0", "200", "--points", "3",
+                   "--emax", "199.8") == (0, out, "")
+    # The neutron filter keeps its 229 neV top.
+    code, out, _ = run_cli(capsys, "transmission", "--points", "3")
+    assert (code, out.split("\n")[-2].split(",")[0]) == (0, "229")
+
+
+def test_transmission_reversed_grid_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "transmission", "--emin", "100", "--emax", "50")
+    assert (code, out, err) == (3, "", "domain error: grid needs e_max > e_min\n")
+
+
+def test_transmission_invalid_system_is_config_error(capsys):
+    code, out, err = run_cli(capsys, "transmission", "--a", "-5", "--points", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: invalid system parameters: barrier width a")
+
+
 def test_transmission_at_energies_too_small_for_doubles_is_domain_error(capsys):
     # 1e-290 neV is 1.6e-318 J: 2mE rounds to zero, so k does too.
     code, out, err = run_cli(
@@ -134,6 +158,14 @@ def test_resonances_fit_mass(capsys):
     assert doc["fitted_mass_ratio"] == pytest.approx(0.926883, abs=1e-4)
 
 
+def test_resonances_fit_mass_without_a_root_in_the_bracket_exits_3(capsys):
+    # A MassFitError is a TunnelkitError but no DomainError: the CLI's one
+    # "error:" path, still exit 3.
+    code, out, err = run_cli(capsys, "resonances", "--fit-mass", "5")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: residual does not change sign over mass bracket")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_resonances_fit_mass_must_be_finite(capsys, value):
     code, out, err = run_cli(capsys, "resonances", "--fit-mass", value)
@@ -208,6 +240,36 @@ def test_corrupted_config_file(capsys, tmp_path):
     assert err.startswith("config error: config file") and "not valid JSON" in err
 
 
+def test_missing_config_file_is_config_error(capsys, tmp_path):
+    missing = tmp_path / "absent.json"
+    code, out, err = run_cli(capsys, "transmission", "--config", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot read config file {missing}")
+
+
+def test_config_file_must_hold_an_object(capsys, tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[]", encoding="utf-8")
+    code, out, err = run_cli(capsys, "transmission", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"config error: config file {cfg} must hold a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("transmission", {}),
+        ("sweep", {"axis": "gap_length", "values_angstrom": [100.0]}),
+    ],
+)
+def test_config_format_must_be_csv_or_json(capsys, tmp_path, command, section):
+    cfg = tmp_path / "format.json"
+    cfg.write_text(json.dumps({command: {**section, "format": "xml"}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "config error: format must be csv or json, got 'xml'\n"
+
+
 def test_neutron_takes_no_constants_file(capsys):
     # The constants are fixed (CODATA 2018 and the exact SI units); the
     # retired --constants flag is a usage error.
@@ -264,6 +326,22 @@ def test_sweep_json_echoes_its_energy(capsys):
     )
     assert code == 0
     assert json.loads(out)["energy_neV"] == 100.1
+
+
+def test_sweep_default_energy_follows_a_lower_barrier(capsys):
+    # The default energy is min(80.5, 0.35 U0) neV: at U0 = 60 the 80.5 neV
+    # default lay above the barrier and the command exited 3 on its own defaults.
+    args = ("sweep", "--u0", "60", "--axis", "gap_length", "--values", "100", "200",
+            "--format", "json")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    energy = json.loads(out)["energy_neV"]
+    assert energy == pytest.approx(21.0, rel=1e-15)
+    assert run_cli(capsys, *args, "--energy", repr(energy)) == (0, out, "")
+    # The neutron filter keeps its 80.5 neV default.
+    code, out, _ = run_cli(capsys, "sweep", "--axis", "gap_length", "--values", "100",
+                           "--format", "json")
+    assert (code, json.loads(out)["energy_neV"]) == (0, 80.5)
 
 
 def test_sweep_json_echoes_its_lengths(capsys):

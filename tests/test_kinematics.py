@@ -95,6 +95,13 @@ def test_energy_domain_errors(neutron):
         kinematics(neutron, 1.5 * neutron.U0)
 
 
+@pytest.mark.parametrize("a", [0.0, -1e-9, math.nan])
+def test_hyperbolic_state_width_must_be_positive(neutron, a):
+    kin = kinematics(neutron, joule_from_nev(127.0))
+    with pytest.raises(DomainError, match="width a must be > 0"):
+        hyperbolic_state(kin, a)
+
+
 @pytest.mark.parametrize(
     "function",
     [kinematics, amplitude, transmitted_phase, resonance_residual, hartman_limit],

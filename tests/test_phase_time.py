@@ -103,6 +103,12 @@ def test_numeric_step_guard(neutron):
         phase_time_numeric(neutron, joule_from_nev(229.9), rel_step=1e-2)
 
 
+@pytest.mark.parametrize("rel_step", [0.0, -1e-6, math.nan])
+def test_numeric_rel_step_must_be_positive(neutron, rel_step):
+    with pytest.raises(DomainError, match="rel_step must be > 0"):
+        phase_time_numeric(neutron, joule_from_nev(127.0), rel_step=rel_step)
+
+
 def test_numeric_differences_the_continuous_phase_across_narrow_resonances():
     # beta is 3e-5 to 5e-3 of the default half-stencil dE = 1e-6 E_r at these
     # roots, so the phase advances by up to pi across the stencil. The

@@ -262,6 +262,34 @@ def test_mass_fit_checks_the_system_at_both_bracket_ends(changed):
         fit_effective_mass(**args)
 
 
+@pytest.mark.parametrize(
+    "changed, message",
+    [
+        ({"E_r_target": 0.0}, "target E_r must lie in"),
+        ({"E_r_target": -joule_from_nev(127.0)}, "target E_r must lie in"),
+        ({"E_r_target": joule_from_nev(NEUTRON_U0_NEV)}, "target E_r must lie in"),
+        ({"E_r_target": math.nan}, "target E_r must lie in"),
+        ({"m_bracket": (1.5 * M0, 0.5 * M0)}, "mass bracket must satisfy"),
+        ({"m_bracket": (M0, M0)}, "mass bracket must satisfy"),
+        ({"m_bracket": (0.0, M0)}, "mass bracket must satisfy"),
+    ],
+    ids=["zero-target", "negative-target", "target-at-u0", "nan-target",
+         "reversed-bracket", "empty-bracket", "zero-lower-mass"],
+)
+def test_mass_fit_rejects_a_target_outside_0_u0_and_a_bracket_not_0_lo_hi(changed, message):
+    sys0 = neutron_system()
+    args = dict(
+        a=sys0.a,
+        U0=sys0.U0,
+        L=sys0.L,
+        E_r_target=joule_from_nev(127.0),
+        m_bracket=(0.5 * M0, 1.5 * M0),
+    )
+    args.update(changed)
+    with pytest.raises(DomainError, match=message):
+        fit_effective_mass(**args)
+
+
 @pytest.fixture
 def residual_calls(monkeypatch):
     """Counts the resonance_residual evaluations the mass fit makes."""
