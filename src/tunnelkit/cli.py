@@ -20,12 +20,7 @@ import math
 import sys
 from typing import Optional
 
-from .constants import (
-    CODATA2018,
-    joule_from_nev,
-    metre_from_angstrom,
-    nev_from_joule,
-)
+from .constants import CODATA2018, joule_from_nev, metre_from_angstrom, nev_from_joule
 from .errors import DomainError, TunnelkitError
 from .kinematics import BarrierSystem
 from .phase_time import _phase_time_of, phase_time, phase_time_numeric
@@ -72,17 +67,8 @@ _DEFAULT_SYSTEM = {
     "L_angstrom": NEUTRON_GAP_ANGSTROM,
     "mass_ratio": 1.0,
 }
-
-# The config document's sections and the fields each one may hold.
-_CONFIG_FIELDS = {
-    "system": tuple(_DEFAULT_SYSTEM),
-    "transmission": ("e_min_neV", "e_max_neV", "points", "format"),
-    "resonances": ("e_min_neV", "e_max_neV", "fit_mass"),
-    "sweep": ("axis", "energy_neV", "values_angstrom", "format"),
-    "oracle_check": (
-        "e_min_neV", "e_max_neV", "points", "amplitude_tolerance", "phase_time_tolerance"
-    ),
-}
+_FORMATS = ("csv", "json")
+_AXES = ("barrier_width", "gap_length")
 
 
 def _fmt12(x: float) -> str:
@@ -97,9 +83,9 @@ def _known(doc: dict, name: str, fields) -> dict:
     return doc
 
 
-def _load_config(path: str) -> dict:
-    """The config document at path: a JSON object of known sections, each a
-    JSON object of known fields, whichever command reads it."""
+def _load_config(path: str, schema: dict) -> dict:
+    """The config document at path: a JSON object of the schema's sections,
+    each a JSON object of its fields, whichever command reads it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -109,18 +95,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    for name, section in _known(doc, "top-level", _CONFIG_FIELDS).items():
+    for name, section in _known(doc, "top-level", schema).items():
         if not isinstance(section, dict):
             raise ConfigError(f"field {name!r} must be a JSON object")
-        _known(section, name, _CONFIG_FIELDS[name])
+        _known(section, name, schema[name])
     return doc
 
 
-def _number(
-    section: dict, field: str, default: float, flag: Optional[float] = None
-) -> float:
-    """The flag if given, else the config field, else the default; finite."""
-    value = section.get(field, default) if flag is None else flag
+def _finite(field: str, value) -> float:
+    """value, a number, as a finite float; field names it in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field!r} must be a number, got {value!r}")
     try:
@@ -132,24 +115,42 @@ def _number(
     return number
 
 
-def _points(section: dict, default: int, flag: Optional[int]) -> int:
-    value = _number(section, "points", default, flag)
+def _number(args, field: str, default: Optional[float] = None) -> float:
+    """The field's flag if given, else its config value, else the default; finite."""
+    return _finite(field, getattr(args, field, default))
+
+
+def _points(args, default: int) -> int:
+    value = _number(args, "points", default)
     if not (value >= 1 and value.is_integer()):
         raise ConfigError(f"field 'points' must be an integer >= 1, got {value!r}")
     return int(value)
 
 
-def _build_system(args, config: dict) -> BarrierSystem:
-    section = config.get("system", {})
-    flags = (args.a, args.u0, args.l, args.mass_ratio)
-    values = [
-        _number(section, field, default, flag)
-        for (field, default), flag in zip(_DEFAULT_SYSTEM.items(), flags)
-    ]
+def _choice(args, field: str, choices: tuple, default: Optional[str] = None) -> str:
+    value = getattr(args, field, default)
+    if value not in choices:
+        raise ConfigError(f"{field} must be {' or '.join(choices)}, got {value!r}")
+    return value
+
+
+def _build_system(args) -> BarrierSystem:
+    values = [_number(args, field, default) for field, default in _DEFAULT_SYSTEM.items()]
     try:
         return BarrierSystem.from_lab_units(*values)
     except DomainError as exc:
         raise ConfigError(f"invalid system parameters: {exc}") from exc
+
+
+def _window(args, sys_: BarrierSystem, cap: float) -> tuple:
+    """(e_min, e_max) in neV. The top defaults to min(cap, 0.999 U0), the bottom
+    to 1 neV, or to 1e-3 U0 where the top is not above 1 neV."""
+    u0_nev = nev_from_joule(sys_.U0)
+    e_min = _number(args, "e_min_neV", 1.0)
+    e_max = _number(args, "e_max_neV", min(cap, 0.999 * u0_nev))
+    if e_max <= 1.0 and not hasattr(args, "e_min_neV"):
+        e_min = 1e-3 * u0_nev
+    return e_min, e_max
 
 
 def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points: int):
@@ -169,17 +170,11 @@ def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points:
     return [e_min_nev + span * i / (points - 1) for i in range(points - 1)] + [e_max_nev]
 
 
-def cmd_transmission(args, config: dict) -> int:
-    sys_ = _build_system(args, config)
-    section = config.get("transmission", {})
-    e_min = _number(section, "e_min_neV", 1.0, args.emin)
-    e_max = _number(
-        section, "e_max_neV", min(229.0, 0.999 * nev_from_joule(sys_.U0)), args.emax
-    )
-    points = _points(section, 201, args.points)
-    fmt = args.format or section.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+def cmd_transmission(args) -> int:
+    sys_ = _build_system(args)
+    e_min, e_max = _window(args, sys_, 229.0)
+    points = _points(args, 201)
+    fmt = _choice(args, "format", _FORMATS, "csv")
 
     rows = []
     for e_nev in _energy_grid(sys_, e_min, e_max, points):
@@ -201,14 +196,12 @@ def cmd_transmission(args, config: dict) -> int:
     return 0
 
 
-def cmd_resonances(args, config: dict) -> int:
-    sys_ = _build_system(args, config)
-    section = config.get("resonances", {})
-    e_min = _number(section, "e_min_neV", 1.0, args.emin)
-    e_max = _number(section, "e_max_neV", 0.999 * nev_from_joule(sys_.U0), args.emax)
+def cmd_resonances(args) -> int:
+    sys_ = _build_system(args)
+    e_min, e_max = _window(args, sys_, math.inf)
 
-    if args.fit_mass is not None or "fit_mass" in section:
-        target = joule_from_nev(_number(section, "fit_mass", 0.0, args.fit_mass))
+    if hasattr(args, "fit_mass"):
+        target = joule_from_nev(_number(args, "fit_mass"))
         m = fit_effective_mass(sys_.a, sys_.U0, sys_.L, target, NEUTRON_MASS_BRACKET)
         sys.stdout.write(
             json.dumps({"fitted_mass_ratio": m / CODATA2018.m_neutron}, indent=2) + "\n"
@@ -228,7 +221,7 @@ def cmd_resonances(args, config: dict) -> int:
     return 0
 
 
-def cmd_neutron(args, config: dict) -> int:
+def cmd_neutron(args) -> int:
     doc = run_neutron_scenario()._asdict()
     doc["annotations"] = MEASURED_ANNOTATIONS
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -251,25 +244,18 @@ def cmd_neutron(args, config: dict) -> int:
     return 0
 
 
-def cmd_sweep(args, config: dict) -> int:
-    sys_ = _build_system(args, config)
-    section = config.get("sweep", {})
-    axis = args.axis or section.get("axis")
-    if axis not in ("barrier_width", "gap_length"):
-        raise ConfigError(f"axis must be barrier_width or gap_length, got {axis!r}")
-    energy_nev = _number(
-        section, "energy_neV", min(80.5, 0.35 * nev_from_joule(sys_.U0)), args.energy
-    )
-    values_ang = args.values or section.get("values_angstrom")
+def cmd_sweep(args) -> int:
+    sys_ = _build_system(args)
+    axis = _choice(args, "axis", _AXES)
+    energy_nev = _number(args, "energy_neV", min(80.5, 0.35 * nev_from_joule(sys_.U0)))
+    values_ang = getattr(args, "values_angstrom", None)
     if not (isinstance(values_ang, list) and values_ang):
         raise ConfigError(
             f"sweep needs --values (angstrom), a non-empty list, got {values_ang!r}"
         )
-    fmt = args.format or section.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
+    fmt = _choice(args, "format", _FORMATS, "csv")
 
-    lengths = [_number(section, "values_angstrom", 0.0, v) for v in values_ang]
+    lengths = [_finite("values_angstrom", v) for v in values_ang]
     values = [metre_from_angstrom(v) for v in lengths]
     table = hartman_sweep(sys_, joule_from_nev(energy_nev), axis, values)
     # Energy and lengths echo as given, not converted there and back.
@@ -302,15 +288,14 @@ def cmd_sweep(args, config: dict) -> int:
     return 0
 
 
-def cmd_oracle_check(args, config: dict) -> int:
-    sys_ = _build_system(args, config)
-    section = config.get("oracle_check", {})
+def cmd_oracle_check(args) -> int:
+    sys_ = _build_system(args)
     u0_nev = nev_from_joule(sys_.U0)
-    e_min = _number(section, "e_min_neV", 0.05 * u0_nev, args.emin)
-    e_max = _number(section, "e_max_neV", 0.95 * u0_nev, args.emax)
-    points = _points(section, 200, args.points)
-    amp_tol = _number(section, "amplitude_tolerance", 1e-10, args.amp_tol)
-    tau_tol = _number(section, "phase_time_tolerance", 1e-6, args.tau_tol)
+    e_min = _number(args, "e_min_neV", 0.05 * u0_nev)
+    e_max = _number(args, "e_max_neV", 0.95 * u0_nev)
+    points = _points(args, 200)
+    amp_tol = _number(args, "amplitude_tolerance", 1e-10)
+    tau_tol = _number(args, "phase_time_tolerance", 1e-6)
     for field, tol in (("amplitude_tolerance", amp_tol), ("phase_time_tolerance", tau_tol)):
         if tol < 0.0:
             raise ConfigError(f"field {field!r} must be >= 0, got {tol!r}")
@@ -351,70 +336,84 @@ def cmd_oracle_check(args, config: dict) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The parser, and the config schema it declares: each value option's dest is its
+    field, in `system` or its command's section, and stays unset if not given."""
     parser = argparse.ArgumentParser(
         prog="tunnelkit",
         description="Double rectangular barrier: transmission, resonances, phase-times.",
     )
     parser.add_argument("--version", action="version", version=f"tunnelkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    system = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    system.add_argument("--config", help="JSON config file")
+    system.add_argument("--a", dest="a_angstrom", type=float, help="barrier width (angstrom)")
+    system.add_argument("--l", dest="L_angstrom", type=float, help="gap length (angstrom)")
+    system.add_argument("--u0", dest="U0_neV", type=float, help="barrier height (neV)")
+    system.add_argument("--mass-ratio", type=float, help="mass / m_neutron")
+    commands = {}
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--a", type=float, help="barrier width (angstrom)")
-        p.add_argument("--l", type=float, help="gap length (angstrom)")
-        p.add_argument("--u0", type=float, help="barrier height (neV)")
-        p.add_argument("--mass-ratio", type=float, help="mass / m_neutron")
+    def add_command(name, func, help_):
+        p = sub.add_parser(name, parents=[system], argument_default=argparse.SUPPRESS, help=help_)
+        p.set_defaults(func=func)
+        commands[name.replace("-", "_")] = p
+        return p
 
-    p_tr = sub.add_parser("transmission", help="tabulate probability and phase-time")
-    add_common(p_tr)
-    p_tr.add_argument("--emin", type=float, help="grid start (neV)")
-    p_tr.add_argument("--emax", type=float, help="grid end (neV)")
+    p_tr = add_command("transmission", cmd_transmission, "tabulate probability and phase-time")
+    p_tr.add_argument("--emin", dest="e_min_neV", type=float, help="grid start (neV)")
+    p_tr.add_argument("--emax", dest="e_max_neV", type=float, help="grid end (neV)")
     p_tr.add_argument("--points", type=int, help="grid size")
-    p_tr.add_argument("--format", choices=("csv", "json"))
-    p_tr.set_defaults(func=cmd_transmission)
+    p_tr.add_argument("--format", choices=_FORMATS)
 
-    p_re = sub.add_parser("resonances", help="locate resonances or fit the mass")
-    add_common(p_re)
-    p_re.add_argument("--emin", type=float, help="window start (neV)")
-    p_re.add_argument("--emax", type=float, help="window end (neV)")
+    p_re = add_command("resonances", cmd_resonances, "locate resonances or fit the mass")
+    p_re.add_argument("--emin", dest="e_min_neV", type=float, help="window start (neV)")
+    p_re.add_argument("--emax", dest="e_max_neV", type=float, help="window end (neV)")
     p_re.add_argument("--fit-mass", type=float, metavar="E_R_NEV",
                       help="invert the mass that resonates at this energy")
-    p_re.set_defaults(func=cmd_resonances)
 
     p_ne = sub.add_parser("neutron", help="run the cold-neutron filter scenario")
     p_ne.add_argument("--check", action="store_true",
                       help="verify the scenario against its acceptance fixtures")
     p_ne.set_defaults(func=cmd_neutron)
 
-    p_sw = sub.add_parser("sweep", help="sweep barrier width or gap length")
-    add_common(p_sw)
-    p_sw.add_argument("--axis", choices=("barrier_width", "gap_length"))
-    p_sw.add_argument("--energy", type=float, help="probe energy (neV)")
-    p_sw.add_argument("--values", type=float, nargs="+", help="swept lengths (angstrom)")
-    p_sw.add_argument("--format", choices=("csv", "json"))
-    p_sw.set_defaults(func=cmd_sweep)
+    p_sw = add_command("sweep", cmd_sweep, "sweep barrier width or gap length")
+    p_sw.add_argument("--axis", choices=_AXES)
+    p_sw.add_argument("--energy", dest="energy_neV", type=float, help="probe energy (neV)")
+    p_sw.add_argument("--values", dest="values_angstrom", type=float, nargs="+",
+                      help="swept lengths (angstrom)")
+    p_sw.add_argument("--format", choices=_FORMATS)
 
-    p_or = sub.add_parser("oracle-check", help="closed form vs transfer matrix and numeric tau")
-    add_common(p_or)
-    p_or.add_argument("--emin", type=float, help="grid start (neV)")
-    p_or.add_argument("--emax", type=float, help="grid end (neV)")
+    p_or = add_command("oracle-check", cmd_oracle_check,
+                       "closed form vs transfer matrix and numeric tau")
+    p_or.add_argument("--emin", dest="e_min_neV", type=float, help="grid start (neV)")
+    p_or.add_argument("--emax", dest="e_max_neV", type=float, help="grid end (neV)")
     p_or.add_argument("--points", type=int, help="grid size")
-    p_or.add_argument("--amp-tol", type=float, help="amplitude threshold")
-    p_or.add_argument("--tau-tol", type=float, help="phase-time threshold")
-    p_or.set_defaults(func=cmd_oracle_check)
-    return parser
+    p_or.add_argument("--amp-tol", dest="amplitude_tolerance", type=float,
+                      help="amplitude threshold")
+    p_or.add_argument("--tau-tol", dest="phase_time_tolerance", type=float,
+                      help="phase-time threshold")
+
+    schema = {}
+    for name, p in {"system": system, **commands}.items():
+        fields = [a.dest for a in p._actions if a.dest not in ("help", "config")]
+        schema[name] = [f for f in fields if f not in schema.get("system", ())]
+    return parser, schema
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    parser, schema = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit 2 on usage errors
         return int(exc.code or 0)
     try:
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
+        if getattr(args, "config", None):
+            # Config values fill the fields no flag gave; a null stays, for the checks to reject.
+            config = _load_config(args.config, schema)
+            for name in ("system", args.command.replace("-", "_")):
+                for field, value in config.get(name, {}).items():
+                    vars(args).setdefault(field, value)
+        return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,27 @@ def test_transmission_default_grid_follows_a_lower_barrier(capsys):
     # The neutron filter keeps its 229 neV top.
     code, out, _ = run_cli(capsys, "transmission", "--points", "3")
     assert (code, out.split("\n")[-2].split(",")[0]) == (0, "229")
+
+
+@pytest.mark.parametrize(
+    "u0, bottom, top", [("1", "0.001", "0.999"), ("1.001", "0.001001", "0.999999")]
+)
+def test_transmission_default_grid_below_a_one_nev_top(capsys, u0, bottom, top):
+    # Where the top, 0.999 U0, is not above 1 neV the 1 neV bottom would lie
+    # above it, so the bottom is 1e-3 U0 there.
+    code, out, err = run_cli(capsys, "transmission", "--u0", u0, "--points", "3")
+    assert (code, err) == (0, "")
+    energies = [row.split(",")[0] for row in out.split("\n")[1:-1]]
+    assert (energies[0], energies[-1]) == (bottom, top)
+    # A top above 1 neV, the default's or a flag's, keeps the 1 neV bottom.
+    for argv in (["--u0", "1.002"], ["--u0", "1.001", "--emax", "1.0005"]):
+        code, out, _ = run_cli(capsys, "transmission", *argv, "--points", "3")
+        assert (code, out.split("\n")[1].split(",")[0]) == (0, "1")
+
+
+@pytest.mark.parametrize("u0", ["1", "1.001"])
+def test_resonances_default_window_below_a_one_nev_top(capsys, u0):
+    assert run_cli(capsys, "resonances", "--u0", u0) == (0, "[]\n", "")
 
 
 def test_transmission_reversed_grid_is_domain_error(capsys):
@@ -673,3 +695,61 @@ def test_csv_uses_12_significant_digits(capsys):
     assert row[0] == "100"
     mantissa = row[1].replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa.split("e")[0]) <= 12
+
+
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        ("system", "a_angstrom"),
+        ("transmission", "e_min_neV"),
+        ("transmission", "format"),
+        ("oracle_check", "points"),
+        ("sweep", "axis"),
+        ("sweep", "values_angstrom"),
+        ("resonances", "fit_mass"),
+    ],
+)
+def test_config_null_field_is_config_error(capsys, tmp_path, section, field):
+    # A JSON null is a bad value, not an absent field: it must not fall back
+    # to the default.
+    command = "transmission" if section == "system" else section.replace("_", "-")
+    doc = {section: {field: None}}
+    if section == "sweep":
+        doc["sweep"] = {"axis": "gap_length", "values_angstrom": [100.0], field: None}
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("transmission", ["--emin", "--emax", "--points", "--format"]),
+        ("resonances", ["--emin", "--emax", "--fit-mass"]),
+        ("neutron", ["--check"]),
+        ("sweep", ["--axis", "--energy", "--values", "--format"]),
+        ("oracle-check", ["--emin", "--emax", "--points", "--amp-tol", "--tau-tol"]),
+    ],
+)
+def test_help_lists_every_flag(capsys, command, flags):
+    if command != "neutron":
+        flags = ["--config", "--a", "--l", "--u0", "--mass-ratio", *flags]
+    code, out, err = run_cli(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: tunnelkit {command} ")
+    listed = {word.strip("[],") for word in out.split()}
+    assert set(flags) <= listed
+
+
+def test_readme_config_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| section"):].split("\n\n")[0].splitlines()[2:]
+    documented = {}
+    for line in table:
+        section, fields = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[section.strip("`")] = [f.strip().strip("`") for f in fields.split(",")]
+    schema = cli._build_parser()[1]
+    assert list(documented) == list(schema)
+    assert documented == schema
