@@ -71,10 +71,6 @@ _FORMATS = ("csv", "json")
 _AXES = ("barrier_width", "gap_length")
 
 
-def _fmt12(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _known(doc: dict, name: str, fields) -> dict:
     """doc, unless it holds a name outside fields."""
     unknown = set(doc).difference(fields)
@@ -142,15 +138,30 @@ def _build_system(args) -> BarrierSystem:
         raise ConfigError(f"invalid system parameters: {exc}") from exc
 
 
-def _window(args, sys_: BarrierSystem, cap: float) -> tuple:
-    """(e_min, e_max) in neV. The top defaults to min(cap, 0.999 U0), the bottom
-    to 1 neV, or to 1e-3 U0 where the top is not above 1 neV."""
-    u0_nev = nev_from_joule(sys_.U0)
-    e_min = _number(args, "e_min_neV", 1.0)
-    e_max = _number(args, "e_max_neV", min(cap, 0.999 * u0_nev))
-    if e_max <= 1.0 and not hasattr(args, "e_min_neV"):
-        e_min = 1e-3 * u0_nev
+def _window(args, top: float, *bottoms: float) -> tuple:
+    """(e_min, e_max) in neV, each as given or else by default: the top is top,
+    the bottom the first of bottoms below the top, else 1e-3 of a positive top,
+    else the last of bottoms."""
+    e_min = _number(args, "e_min_neV") if hasattr(args, "e_min_neV") else None
+    e_max = _number(args, "e_max_neV", top)
+    if e_min is None:
+        fallback = 1e-3 * e_max if e_max > 0.0 else bottoms[-1]
+        e_min = next((b for b in bottoms if b < e_max), fallback)
     return e_min, e_max
+
+
+def _write(doc, fmt: str = "json", columns=()) -> None:
+    """doc on stdout: as JSON, or as CSV of its rows (dicts) in columns, with
+    numbers to 12 significant digits, None empty and booleans lower case."""
+    if fmt == "json":
+        text = json.dumps(doc, indent=2)
+    else:
+        text = "\n".join([",".join(columns)] + [
+            ",".join("" if v is None else str(v).lower() if isinstance(v, bool) else f"{v:.12g}"
+                     for v in (row[c] for c in columns))
+            for row in doc
+        ])
+    sys.stdout.write(text + "\n")
 
 
 def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points: int):
@@ -172,59 +183,50 @@ def _energy_grid(sys: BarrierSystem, e_min_nev: float, e_max_nev: float, points:
 
 def cmd_transmission(args) -> int:
     sys_ = _build_system(args)
-    e_min, e_max = _window(args, sys_, 229.0)
+    u0_nev = nev_from_joule(sys_.U0)
+    e_min, e_max = _window(args, min(229.0, 0.999 * u0_nev), 1.0, 1e-3 * u0_nev)
     points = _points(args, 201)
     fmt = _choice(args, "format", _FORMATS, "csv")
 
     rows = []
     for e_nev in _energy_grid(sys_, e_min, e_max, points):
         sc = scaled_denominator(sys_, joule_from_nev(e_nev))
-        rows.append(
-            (
-                e_nev,
-                math.exp(-sc.log_mod_squared),
-                _phase_time_of(sc, sys_.L).total,
-            )
-        )
-    if fmt == "csv":
-        lines = ["E_neV,probability,tau_s"]
-        lines += [f"{_fmt12(e)},{_fmt12(p)},{_fmt12(t)}" for e, p, t in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        doc = [{"E_neV": e, "probability": p, "tau_s": t} for e, p, t in rows]
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        rows.append({
+            "E_neV": e_nev,
+            "probability": math.exp(-sc.log_mod_squared),
+            "tau_s": _phase_time_of(sc, sys_.L).total,
+        })
+    _write(rows, fmt, list(rows[0]))
     return 0
 
 
 def cmd_resonances(args) -> int:
     sys_ = _build_system(args)
-    e_min, e_max = _window(args, sys_, math.inf)
+    u0_nev = nev_from_joule(sys_.U0)
+    e_min, e_max = _window(args, 0.999 * u0_nev, 1.0, 1e-3 * u0_nev)
 
     if hasattr(args, "fit_mass"):
         target = joule_from_nev(_number(args, "fit_mass"))
         m = fit_effective_mass(sys_.a, sys_.U0, sys_.L, target, NEUTRON_MASS_BRACKET)
-        sys.stdout.write(
-            json.dumps({"fitted_mass_ratio": m / CODATA2018.m_neutron}, indent=2) + "\n"
-        )
+        _write({"fitted_mass_ratio": m / CODATA2018.m_neutron})
         return 0
 
     found = find_resonances(sys_, joule_from_nev(e_min), joule_from_nev(e_max))
-    doc = [
+    _write([
         {
             "E_r_neV": nev_from_joule(r.E_r),
             "beta_neV": nev_from_joule(r.beta),
             "tau_r_s": r.tau_r,
         }
         for r in found
-    ]
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    ])
     return 0
 
 
 def cmd_neutron(args) -> int:
     doc = run_neutron_scenario()._asdict()
     doc["annotations"] = MEASURED_ANNOTATIONS
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _write(doc)
     if not args.check:
         return 0
     failures = []
@@ -259,40 +261,26 @@ def cmd_sweep(args) -> int:
     values = [metre_from_angstrom(v) for v in lengths]
     table = hartman_sweep(sys_, joule_from_nev(energy_nev), axis, values)
     # Energy and lengths echo as given, not converted there and back.
-    if fmt == "json":
-        doc = {
-            "axis": axis,
-            "energy_neV": energy_nev,
-            "rows": [
-                {
-                    "sweep_value_angstrom": length,
-                    "probability": row.probability,
-                    "tau_exact_s": row.tau_exact,
-                    "tau_asymptotic_s": row.tau_asymptotic,
-                    "flagged": row.flagged,
-                    "flag_reason": row.flag_reason,
-                }
-                for length, row in zip(lengths, table.rows)
-            ],
+    rows = [
+        {
+            "sweep_value_angstrom": length,
+            "probability": row.probability,
+            "tau_exact_s": row.tau_exact,
+            "tau_asymptotic_s": row.tau_asymptotic,
+            "flagged": row.flagged,
+            "flag_reason": row.flag_reason,
         }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-        return 0
-    lines = ["sweep_value_angstrom,probability,tau_exact_s,tau_asymptotic_s,flagged"]
-    for length, row in zip(lengths, table.rows):
-        asym = "" if row.tau_asymptotic is None else _fmt12(row.tau_asymptotic)
-        lines.append(
-            f"{_fmt12(length)},{_fmt12(row.probability)},"
-            f"{_fmt12(row.tau_exact)},{asym},{str(row.flagged).lower()}"
-        )
-    sys.stdout.write("\n".join(lines) + "\n")
+        for length, row in zip(lengths, table.rows)
+    ]
+    doc = {"axis": axis, "energy_neV": energy_nev, "rows": rows}
+    _write(doc if fmt == "json" else rows, fmt, list(rows[0])[:5])  # CSV drops flag_reason
     return 0
 
 
 def cmd_oracle_check(args) -> int:
     sys_ = _build_system(args)
     u0_nev = nev_from_joule(sys_.U0)
-    e_min = _number(args, "e_min_neV", 0.05 * u0_nev)
-    e_max = _number(args, "e_max_neV", 0.95 * u0_nev)
+    e_min, e_max = _window(args, 0.95 * u0_nev, 0.05 * u0_nev)
     points = _points(args, 200)
     amp_tol = _number(args, "amplitude_tolerance", 1e-10)
     tau_tol = _number(args, "phase_time_tolerance", 1e-6)

@@ -124,12 +124,8 @@ def run_neutron_scenario() -> NeutronReport:
     )
 
 
-def _swept_system(sys: BarrierSystem, axis: str, value: float) -> BarrierSystem:
-    if axis == "barrier_width":
-        return sys._replace(a=value)
-    if axis == "gap_length":
-        return sys._replace(L=value)
-    raise DomainError(f"unknown sweep axis {axis!r}")
+# The BarrierSystem field each sweep axis sets.
+_SWEEP_FIELDS = {"barrier_width": "a", "gap_length": "L"}
 
 
 def hartman_sweep(
@@ -152,10 +148,12 @@ def hartman_sweep(
         raise DomainError("sweep values must be positive")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError("sweep values must be strictly ascending")
+    if axis not in _SWEEP_FIELDS:
+        raise DomainError(f"unknown sweep axis {axis!r}")
 
     rows = []
     for value in values:
-        probe = _swept_system(sys, axis, value)
+        probe = sys._replace(**{_SWEEP_FIELDS[axis]: value})
         sc = scaled_denominator(probe, E)  # raises DomainError unless 0 < E < U0
         prob = math.exp(-sc.log_mod_squared)
         tau_exact = _phase_time_of(sc, probe.L).total
@@ -164,14 +162,5 @@ def hartman_sweep(
             flagged, reason = False, None
         except OpaqueBracketError as exc:
             tau_asym, flagged, reason = None, True, str(exc)
-        rows.append(
-            SweepRow(
-                sweep_value=value,
-                probability=prob,
-                tau_exact=tau_exact,
-                tau_asymptotic=tau_asym,
-                flagged=flagged,
-                flag_reason=reason,
-            )
-        )
+        rows.append(tuple.__new__(SweepRow, (value, prob, tau_exact, tau_asym, flagged, reason)))
     return SweepTable(axis=axis, energy=E, rows=tuple(rows))

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from tunnelkit import resonance as resonance_module
+from tunnelkit.constants import CODATA2018, joule_from_nev
 from tunnelkit.kinematics import BarrierSystem
+from tunnelkit.resonance import find_resonances, fit_effective_mass
 from tunnelkit.transmission import scaled_denominator
 
 # The cold-neutron interference filter geometry used throughout the suite:
@@ -40,6 +42,33 @@ def neutron_system(mass_ratio: float = 1.0) -> BarrierSystem:
     return BarrierSystem.from_lab_units(
         NEUTRON_A_ANGSTROM, NEUTRON_U0_NEV, NEUTRON_L_ANGSTROM, mass_ratio
     )
+
+
+def fitted_neutron():
+    """The filter at the mass that moves its resonance to 127 neV, and that root."""
+    sys0 = neutron_system()
+    m0 = CODATA2018.m_neutron
+    m = fit_effective_mass(
+        sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.5 * m0, 1.5 * m0)
+    )
+    sys = sys0._replace(m=m)
+    (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
+    return sys, res
+
+
+def _sign_changes(values) -> int:
+    """Changes of sign (-1, 0 or +1) along a sequence; an exact zero counts."""
+    signs = [(v > 0.0) - (v < 0.0) for v in values]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _floats_around(x: float, n: int) -> list[float]:
+    """The n floats below x, x, and the n floats above it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
 
 
 @pytest.fixture

@@ -42,7 +42,7 @@ from tunnelkit.resonance import (
 from tunnelkit.scatter_oracle import PotentialProfile, double_barrier_profile, solve
 from tunnelkit.transmission import amplitude, log_probability, transmitted_phase
 
-from conftest import neutron_system
+from conftest import fitted_neutron, neutron_system
 from neutron_reference import neutron_reference
 
 M0 = CODATA2018.m_neutron
@@ -60,16 +60,6 @@ def reference():
     # the reference's own mass root must be a transparency point
     assert abs(ref["transmission_at_root"] - 1.0) <= 1e-15
     return ref
-
-
-def fitted_neutron():
-    sys0 = neutron_system()
-    m = fit_effective_mass(
-        sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.5 * M0, 1.5 * M0)
-    )
-    sys = sys0._replace(m=m)
-    (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
-    return sys, res
 
 
 def test_criterion_01_free_mass_resonance_energy():

@@ -80,6 +80,51 @@ def test_resonances_default_window_below_a_one_nev_top(capsys, u0):
     assert run_cli(capsys, "resonances", "--u0", u0) == (0, "[]\n", "")
 
 
+@pytest.mark.parametrize(
+    "argv, bottom",
+    [
+        (["--emax", "0.2"], "0.0002"),
+        (["--u0", "1000", "--emax", "0.5"], "0.0005"),
+    ],
+)
+def test_transmission_default_bottom_follows_a_top_below_it(capsys, argv, bottom):
+    # A given top at or below both default bottoms (1 neV and 1e-3 U0) takes
+    # 1e-3 of itself as the bottom, so every top in (0, U0) runs without --emin.
+    code, out, err = run_cli(capsys, "transmission", *argv, "--points", "3")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1].split(",")[0] == bottom
+
+
+def test_resonances_default_bottom_follows_a_top_below_it(capsys):
+    assert run_cli(capsys, "resonances", "--emax", "0.2") == (0, "[]\n", "")
+
+
+def test_oracle_check_default_bottom_follows_a_top_below_it(capsys):
+    # The 0.05 U0 bottom (11.5 neV) lies above a 5 neV top.
+    code, out, err = run_cli(capsys, "oracle-check", "--emax", "5", "--points", "3")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nOK\n")
+
+
+def test_transmission_negative_top_keeps_the_u0_bottom(capsys):
+    # No top at or below zero has a bottom beneath it: the bottom stays 1e-3 U0
+    # and the grid check names both ends.
+    code, out, err = run_cli(capsys, "transmission", "--emax", "-1")
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: energy grid [0.23, -1.0] neV must lie inside ")
+
+
+def test_config_window_bottom_is_checked_before_the_top(capsys, tmp_path):
+    cfg = tmp_path / "window.json"
+    cfg.write_text(
+        json.dumps({"transmission": {"e_min_neV": "low", "e_max_neV": "high"}}),
+        encoding="utf-8",
+    )
+    assert run_cli(capsys, "transmission", "--config", str(cfg)) == (
+        2, "", "config error: field 'e_min_neV' must be a number, got 'low'\n"
+    )
+
+
 def test_transmission_reversed_grid_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "transmission", "--emin", "100", "--emax", "50")
     assert (code, out, err) == (3, "", "domain error: grid needs e_max > e_min\n")
@@ -457,6 +502,37 @@ def test_sweep_serialization_units(capsys):
             "flagged",
             "flag_reason",
         ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transmission", "--emin", "100", "--emax", "150", "--points", "7"],
+        ["sweep", "--axis", "barrier_width", "--values", "50", "100", "300", "600"],
+    ],
+    ids=["transmission", "sweep"],
+)
+def test_csv_and_json_carry_the_same_values(capsys, argv):
+    # Each CSV cell is the JSON value in its column to 12 significant digits,
+    # an empty cell for null and true/false for a flag.
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *lines = out.strip().split("\n")
+    columns = header.split(",")
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    rows = doc["rows"] if argv[0] == "sweep" else doc
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        assert list(row)[: len(columns)] == columns
+        expected = [
+            "" if v is None else str(v).lower() if isinstance(v, bool) else f"{v:.12g}"
+            for v in (row[c] for c in columns)
+        ]
+        assert line.split(",") == expected
+    if argv[0] == "sweep":
+        assert [r["flagged"] for r in rows] == [True, True, True, False]
 
 
 def test_sweep_requires_axis_and_values(capsys):

@@ -24,30 +24,17 @@ from tunnelkit.phase_time import (
 from tunnelkit.resonance import (
     CERTIFICATION_TOL,
     find_resonances,
-    fit_effective_mass,
     phase_time_at_resonance,
 )
 from tunnelkit.transmission import amplitude, probability, probability_opaque, scaled_denominator
 
-from conftest import OPAQUE_X_MAX, neutron_system, opaque_x
+from conftest import OPAQUE_X_MAX, fitted_neutron, neutron_system, opaque_x
 from neutron_reference import DoubleBarrier
-
-M0 = CODATA2018.m_neutron
 
 
 def free_flight(sys, E: float) -> float:
     kin = kinematics(sys, E)
     return kin.m * sys.L / (kin.hbar * kin.k)
-
-
-def fitted_neutron():
-    sys0 = neutron_system()
-    m = fit_effective_mass(
-        sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.5 * M0, 1.5 * M0)
-    )
-    sys = sys0._replace(m=m)
-    (res,) = find_resonances(sys, 1e-3 * sys.U0, 0.999 * sys.U0)
-    return sys, res
 
 
 def hartman_system(qa: float, ql: float = 1.0):

@@ -38,6 +38,9 @@ from conftest import (
     NEUTRON_A_ANGSTROM,
     NEUTRON_L_ANGSTROM,
     NEUTRON_U0_NEV,
+    _floats_around,
+    _sign_changes,
+    fitted_neutron,
     neutron_system,
 )
 from neutron_reference import neutron_reference
@@ -329,21 +332,6 @@ def _bisected_mass(g, lo: float, hi: float) -> tuple[float, int]:
     return (lo if abs(flo) <= abs(fhi) else hi), evaluations
 
 
-def _sign_changes(values) -> int:
-    """Changes of sign (-1, 0 or +1) along a sequence; an exact zero counts."""
-    signs = [(v > 0.0) - (v < 0.0) for v in values]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _floats_around(x: float, n: int) -> list[float]:
-    """The n floats below x, x, and the n floats above it."""
-    below, above = [x], [x]
-    for _ in range(n):
-        below.append(math.nextafter(below[-1], 0.0))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[:0:-1] + above
-
-
 def test_mass_fit_matches_bisection_on_seeded_brackets(residual_calls):
     # a 20-600 A and L 1-3000 A (log-uniform), U0 50-500 neV, E 0.01-0.99 U0,
     # bracket 0.5-1.5 m_n. A bracket holds one sign change when 257 even
@@ -408,16 +396,6 @@ def test_mass_fit_round_trip_to_1e_12_on_seeded_systems():
             key=lambda E_r: abs(E_r - target),
         )
         assert nearest == pytest.approx(target, rel=1e-12, abs=0)
-
-
-def fitted_neutron():
-    sys0 = neutron_system()
-    m = fit_effective_mass(
-        sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), (0.5 * M0, 1.5 * M0)
-    )
-    sys = sys0._replace(m=m)
-    (res,) = find_resonances(sys, *full_window(sys))
-    return sys, res
 
 
 def test_width_magnitude_matches_measured_order():

@@ -26,6 +26,8 @@ from tunnelkit.resonance import _resonance, find_resonances
 from tunnelkit.scenarios import run_neutron_scenario
 from tunnelkit.transmission import scaled_denominator
 
+from conftest import _floats_around, _sign_changes
+
 # -- the reference: bisection on psi from kinematics ---------------------------
 
 
@@ -132,20 +134,6 @@ def _seeded_systems(name, count):
             l0 * (l1 / l0) ** rng.random(),
             m0 + (m1 - m0) * rng.random(),
         )
-
-
-def _floats_around(x, n):
-    """The n floats below x, x, and the n floats above it."""
-    below, above = [x], [x]
-    for _ in range(n):
-        below.append(math.nextafter(below[-1], 0.0))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[:0:-1] + above
-
-
-def _sign_changes(values):
-    signs = [(v > 0.0) - (v < 0.0) for v in values]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 @pytest.fixture
