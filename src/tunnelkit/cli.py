@@ -296,7 +296,7 @@ def cmd_oracle_check(args) -> int:
         closed = amplitude(sys_, E).amplitude
         reference = solve(profile, E).t
         if reference == 0:
-            raise DomainError(f"transfer-matrix amplitude underflows to 0 at E={e_nev:.6f} neV")
+            raise DomainError(f"transfer-matrix amplitude underflows to 0 at E={e_nev:.12g} neV")
         dev_amp = abs(closed - reference) / abs(reference)
         if dev_amp > worst_amp[0]:
             worst_amp = (dev_amp, e_nev)
@@ -314,9 +314,9 @@ def cmd_oracle_check(args) -> int:
     )
     failed = []
     if worst_amp[0] > amp_tol:
-        failed.append(f"amplitude at E={worst_amp[1]:.6f} neV")
+        failed.append(f"amplitude at E={worst_amp[1]:.12g} neV")
     if worst_tau[0] > tau_tol:
-        failed.append(f"phase_time at E={worst_tau[1]:.6f} neV")
+        failed.append(f"phase_time at E={worst_tau[1]:.12g} neV")
     if failed:
         sys.stdout.write("FAIL: " + "; ".join(failed) + "\n")
         return 5

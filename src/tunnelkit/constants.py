@@ -17,12 +17,7 @@ and must not pull in the closed-form machinery.
 
 from typing import NamedTuple
 
-__all__ = [
-    "CODATA2018",
-    "joule_from_nev",
-    "nev_from_joule",
-    "metre_from_angstrom",
-]
+__all__ = ["CODATA2018"]
 
 
 class _Constants(NamedTuple):

@@ -67,7 +67,6 @@ from .transmission import ScaledDenominator, scaled_denominator
 
 __all__ = [
     "Resonance",
-    "CERTIFICATION_TOL",
     "resonance_residual",
     "find_resonances",
     "fit_effective_mass",

@@ -29,11 +29,6 @@ from .resonance import find_resonances, fit_effective_mass
 from .transmission import scaled_denominator
 
 __all__ = [
-    "NEUTRON_BARRIER_WIDTH_ANGSTROM",
-    "NEUTRON_BARRIER_HEIGHT_NEV",
-    "NEUTRON_GAP_ANGSTROM",
-    "NEUTRON_MASS_BRACKET",
-    "MEASURED_ANNOTATIONS",
     "NeutronReport",
     "SweepRow",
     "SweepTable",

@@ -38,8 +38,6 @@ from .kinematics import BarrierSystem, Kinematics, kinematics
 
 __all__ = [
     "TransmissionResult",
-    "ScaledDenominator",
-    "scaled_denominator",
     "amplitude",
     "probability",
     "log_probability",

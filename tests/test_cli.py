@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -168,7 +169,7 @@ def test_oracle_check_underflowing_reference_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "oracle-check", "--a", "100000", "--points", "2")
     assert code == 3
     assert out == ""
-    assert err == "domain error: transfer-matrix amplitude underflows to 0 at E=11.500000 neV\n"
+    assert err == "domain error: transfer-matrix amplitude underflows to 0 at E=11.5 neV\n"
 
 
 @pytest.mark.parametrize("flag", ["--a", "--l", "--u0", "--mass-ratio"])
@@ -592,7 +593,20 @@ def test_oracle_check_reports_a_resonance_narrower_than_the_stencil(capsys):
     )
     assert code == 5
     (fail,) = [line for line in out.splitlines() if line.startswith("FAIL: ")]
-    assert "phase_time at E=71.833831 neV" in fail
+    assert "phase_time at E=71.8338309123 neV" in fail
+
+
+def test_oracle_check_fail_line_keeps_small_energies(capsys):
+    # The grid runs from 9e-8 to 9e-5 neV, below a fixed sixth decimal.
+    code, out, _ = run_cli(
+        capsys, "oracle-check", "--u0", "1000", "--emax", "9e-05", "--points", "3",
+        "--amp-tol", "0", "--tau-tol", "0",
+    )
+    assert code == 5
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+    energies = [float(e) for e in re.findall(r"at E=(\S+) neV", fail)]
+    assert len(energies) == 2
+    assert all(e > 0.0 and e in (9e-08, 4.5045e-05, 9e-05) for e in energies)
 
 
 def test_oracle_check_impossible_tolerance(capsys):

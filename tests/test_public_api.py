@@ -1,6 +1,7 @@
 """Every exported name resolves, so retiring a function cannot leave a dangling export
-or strand a name the benchmark reaches; every top-level import is used or exported;
-and importing the CLI loads no heavy stdlib module."""
+or strand a name the benchmark reaches; the package publishes each module's list as
+it stands; every top-level import is used or exported; and importing the CLI loads
+no heavy stdlib module."""
 
 from __future__ import annotations
 
@@ -31,6 +32,33 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), f"{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+# The package publishes each module's __all__ in this order, after __version__.
+PUBLISHING = [
+    "constants", "errors", "kinematics", "transmission",
+    "phase_time", "resonance", "scatter_oracle", "scenarios",
+]
+
+
+def test_package_list_is_the_version_then_each_module_list():
+    lists = [importlib.import_module(f"tunnelkit.{name}").__all__ for name in PUBLISHING]
+    expected = ["__version__"] + [attr for names in lists for attr in names]
+    assert tunnelkit.__all__ == expected  # repeats: test_every_exported_name_resolves
+
+
+def test_star_import_binds_exactly_the_package_list():
+    namespace = {}
+    exec("from tunnelkit import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(tunnelkit.__all__)
+
+
+@pytest.mark.parametrize("name", PUBLISHING)
+def test_published_names_are_their_modules_objects(name):
+    module = importlib.import_module(f"tunnelkit.{name}")
+    moved = [attr for attr in module.__all__ if getattr(tunnelkit, attr) is not getattr(module, attr)]
+    assert not moved, f"tunnelkit binds other objects than {name} for {moved}"
 
 
 # The benchmark reaches the package by name: its tracer wraps TRACED at every
@@ -85,27 +113,26 @@ def test_package_imports_only_the_standard_library(path):
     assert not foreign, f"{path.name} imports non-stdlib modules {foreign}"
 
 
-def _exported(tree: ast.Module) -> set:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_every_top_level_import_is_used_or_exported(path):
-    # A binding no code reads and __all__ does not name is dead weight.
+    # A binding no code reads and __all__ does not name is dead weight. A star
+    # import binds its source module's __all__, which the package republishes.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bound = []
     for node in tree.body:
         if isinstance(node, ast.Import):
             bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound += [alias.asname or alias.name for alias in node.names]
+            for alias in node.names:
+                if alias.name == "*":
+                    source = importlib.import_module("." * node.level + node.module, "tunnelkit")
+                    bound += source.__all__
+                else:
+                    bound.append(alias.asname or alias.name)
+    module = "tunnelkit" if path.stem == "__init__" else f"tunnelkit.{path.stem}"
+    exported = set(getattr(importlib.import_module(module), "__all__", ()))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [name for name in bound if name not in read | _exported(tree)]
+    unused = [name for name in bound if name not in read | exported]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 

@@ -239,6 +239,20 @@ def test_mass_fit_without_sign_change_raises():
         )
 
 
+@pytest.mark.parametrize("end", [0, 1])
+def test_mass_fit_returns_a_bracket_end_whose_residual_is_zero(monkeypatch, end):
+    # An exact 0 at one end and a positive residual at the other has no sign
+    # change, yet the end is the root.
+    sys0 = neutron_system()
+    bracket = (0.5 * M0, 1.5 * M0)
+    monkeypatch.setattr(
+        resonance_module, "resonance_residual",
+        lambda sys, E: 0.0 if sys.m == bracket[end] else 1.0,
+    )
+    m = fit_effective_mass(sys0.a, sys0.U0, sys0.L, joule_from_nev(127.0), bracket)
+    assert m == bracket[end]
+
+
 @pytest.mark.parametrize(
     "changed",
     [

@@ -6,6 +6,7 @@ import math
 import pytest
 from mpmath import mp
 
+from tunnelkit import scenarios as scenarios_module
 from tunnelkit.cli import main
 from tunnelkit.constants import CODATA2018
 from tunnelkit.errors import DomainError, OpaqueBracketError
@@ -81,6 +82,13 @@ def test_report_json_schema(report, capsys):
     assert doc["annotations"] == MEASURED_ANNOTATIONS
     del doc["annotations"]
     assert doc == report._asdict()
+
+
+@pytest.mark.parametrize("roots", [0, 2])
+def test_neutron_scenario_needs_exactly_one_free_mass_root(monkeypatch, roots):
+    monkeypatch.setattr(scenarios_module, "find_resonances", lambda sys, lo, hi: [None] * roots)
+    with pytest.raises(DomainError, match=f"^expected exactly one free-mass resonance, found {roots}$"):
+        run_neutron_scenario()
 
 
 def test_width_sweep_converges_to_hartman_plateau(neutron):
